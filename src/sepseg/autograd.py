@@ -61,9 +61,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -115,12 +112,6 @@ class Tensor:
 
     def relu(self):
         return relu(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def exp(self):
-        return exp(self)
 
     def log(self):
         return log_clamped(self)
@@ -221,28 +212,6 @@ def div(a, b):
     return _make(a.data / b.data, (a, b), bwd)
 
 
-def maximum(a, b):
-    """Elementwise max; ties route the gradient to the first operand."""
-    a = _wrap(a, None if not isinstance(b, Tensor) else b.dtype)
-    b = _wrap(b, a.dtype)
-    _check_broadcast(a.shape, b.shape)
-    mask = a.data >= b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g * mask, a.shape))
-        _accum(b, _unbroadcast(g * ~mask, b.shape))
-
-    return _make(np.maximum(a.data, b.data), (a, b), bwd)
-
-
-def tensor_binary(op, a, b):
-    """Dispatch table for the four basic elementwise ops."""
-    fns = {"add": add, "sub": sub, "mul": mul, "max": maximum}
-    if op not in fns:
-        raise ValueError(f"unknown binary op {op!r}")
-    return fns[op](a, b)
-
-
 # -- elementwise unary ops --------------------------------------------------
 
 
@@ -255,15 +224,6 @@ def relu(x):
     return _make(np.maximum(x.data, 0), (x,), bwd)
 
 
-def exp(x):
-    out_data = np.exp(x.data)
-
-    def bwd(g):
-        _accum(x, g * out_data)
-
-    return _make(out_data, (x,), bwd)
-
-
 def log_clamped(x, floor=1e-12):
     """Natural log with the argument clamped at ``floor`` to avoid -inf."""
     clamped = np.maximum(x.data, floor)
@@ -272,15 +232,6 @@ def log_clamped(x, floor=1e-12):
         _accum(x, np.where(x.data >= floor, g / clamped, 0.0))
 
     return _make(np.log(clamped), (x,), bwd)
-
-
-def sqrt(x):
-    out_data = np.sqrt(x.data)
-
-    def bwd(g):
-        _accum(x, g * 0.5 / out_data)
-
-    return _make(out_data, (x,), bwd)
 
 
 def power(x, p):
@@ -361,7 +312,7 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), bwd)
 
 
-# -- im2col / col2im ----------------------------------------------------------
+# -- im2col -------------------------------------------------------------------
 
 
 def _im2col_forward(x, k, stride, pad):
@@ -419,16 +370,6 @@ def im2col(x, k, stride=1, pad=0):
         _accum(x, _col2im_forward(g, x_shape, k, stride, pad))
 
     return _make(_im2col_forward(x.data, k, stride, pad), (x,), bwd)
-
-
-def col2im(cols, x_shape, k, stride=1, pad=0):
-    """Adjoint of im2col: scatter-add columns back onto the image grid."""
-    _check_im2col_args(x_shape, k, stride, pad)
-
-    def bwd(g):
-        _accum(cols, _im2col_forward(g, k, stride, pad))
-
-    return _make(_col2im_forward(cols.data, x_shape, k, stride, pad), (cols,), bwd)
 
 
 # -- graph traversal ----------------------------------------------------------
@@ -494,10 +435,6 @@ def grad_check(f, x, eps=1e-5):
 
 
 # -- deterministic RNG --------------------------------------------------------
-
-STREAM_INIT = 0
-STREAM_DROPOUT = 1
-STREAM_AUGMENT = 2
 
 
 class Rng:

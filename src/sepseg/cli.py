@@ -12,9 +12,7 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from .autograd import Rng, Tensor
+from .autograd import Rng
 from .config import ConfigError, RunConfig, load_config, render_config
 from .data import (
     CheckpointError,
@@ -25,21 +23,20 @@ from .data import (
     load_checkpoint,
     load_into_model,
     read_nifti,
-    save_checkpoint,
     write_pgm,
 )
 from .gradcheck import TOLERANCE, run_suite
-from .metrics import probs_to_mask
 from .model import (
+    VARIANTS,
     ModelSpec,
     build_model,
     count_parameters,
     format_parameter_table,
-    forward,
     parameter_table_csv,
+    predict_masks,
 )
-from .preprocess import WindowSpec
-from .train import NumericError, TrainConfig, kfold_split, split_slices, train, evaluate
+from .preprocess import prepare_slice
+from .train import LESION_CLASS, NumericError, kfold_split, split_slices, train, evaluate
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
@@ -50,23 +47,24 @@ EXIT_GRADCHECK = 5
 PHANTOM_RE = re.compile(r"^phantoms:(\d+)x(\d+)$")
 
 
-def _model_spec(cfg: RunConfig) -> ModelSpec:
-    return ModelSpec(
-        variant=cfg.model_variant,
-        base_depth=cfg.model_base_depth,
-        num_classes=cfg.model_num_classes,
-        kernel=cfg.model_kernel,
-        dropout_rate=cfg.train_dropout,
-    )
+def _config(args) -> RunConfig:
+    return load_config(args.config) if args.config else RunConfig()
+
+
+def _phantoms(spec: str, cfg: RunConfig):
+    """Samples of a phantoms:NxS directive, or None for any other spec."""
+    m = PHANTOM_RE.match(spec)
+    if not m:
+        return None
+    return generate_phantom(Rng(cfg.train.seed, 9), int(m.group(2)), int(m.group(1)))
 
 
 def _load_dataset(data_spec: str, cfg: RunConfig):
     """Either a phantoms:NxS directive or a directory of paired
     volume-<id>.nii / segmentation-<id>.nii files."""
-    m = PHANTOM_RE.match(data_spec)
-    if m:
-        n, size = int(m.group(1)), int(m.group(2))
-        return generate_phantom(Rng(cfg.seed, 9), size, n), True
+    phantoms = _phantoms(data_spec, cfg)
+    if phantoms is not None:
+        return phantoms, True
     if not os.path.isdir(data_spec):
         raise DataError(f"data directory {data_spec!r} does not exist")
     volumes, masks = {}, {}
@@ -82,31 +80,17 @@ def _load_dataset(data_spec: str, cfg: RunConfig):
         masks[vid] = read_nifti(mask_path)
     if not volumes:
         raise DataError(f"no volume-*.nii files found in {data_spec!r}")
-    window = WindowSpec(cfg.data_window_low, cfg.data_window_high)
-    samples = build_slice_dataset(volumes, masks, window, cfg.data_resize,
+    samples = build_slice_dataset(volumes, masks, cfg.window, resize=cfg.data.resize,
                                   slice_filter="lesion")
     return samples, False
 
 
 def cmd_train(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _config(args)
     samples, is_phantom = _load_dataset(args.data, cfg)
-    if is_phantom or len({s.volume_id for s in samples}) < cfg.folds:
-        train_set, val_set = split_slices(samples, cfg.folds, cfg.fold_index, cfg.seed)
-    else:
-        train_set, val_set = kfold_split(samples, cfg.folds, cfg.fold_index, cfg.seed)
-    spec = _model_spec(cfg)
-    tc = TrainConfig(
-        iterations=cfg.train_iterations,
-        batch_size=cfg.train_batch_size,
-        lr=cfg.train_lr,
-        dropout=cfg.train_dropout,
-        folds=cfg.folds,
-        fold_index=cfg.fold_index,
-        seed=cfg.seed,
-        eval_every=cfg.train_eval_every,
-        augment=cfg.train_augment,
-    )
+    by_slice = is_phantom or len({s.volume_id for s in samples}) < cfg.data.folds
+    split = split_slices if by_slice else kfold_split
+    train_set, val_set = split(samples, cfg.data.folds, cfg.data.fold_index, cfg.train.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.resolved"), "w") as fh:
         fh.write(render_config(cfg))
@@ -115,59 +99,43 @@ def cmd_train(args):
         print(f"iter {rec.iteration}: loss {rec.loss:.4f} "
               f"train_dice {rec.train_dice:.3f} val_dice {rec.val_dice:.3f}")
 
-    train(spec, tc, train_set, val_set, out_dir=args.out, log_fn=log)
+    train(cfg.model, cfg.train, train_set, val_set, out_dir=args.out, log_fn=log)
     print(f"wrote best.ckpt and final.ckpt to {args.out}")
     return 0
 
 
 def _load_model_from_checkpoint(args, cfg):
-    spec = _model_spec(cfg)
-    model = build_model(spec, Rng(cfg.seed, 0))
+    model = build_model(cfg.model, Rng(cfg.train.seed, 0))
     load_into_model(model, load_checkpoint(args.checkpoint))
     return model
 
 
-def _input_samples(path, cfg):
-    m = PHANTOM_RE.match(path)
-    if m:
-        return generate_phantom(Rng(cfg.seed, 9), int(m.group(2)), int(m.group(1)))
+def _input_images(path, cfg):
+    """(1, S, S) model inputs, one per slice of a phantoms:NxS spec or a NIfTI volume."""
+    phantoms = _phantoms(path, cfg)
+    if phantoms is not None:
+        return [s.image for s in phantoms]
     vol = read_nifti(path)
-    window = WindowSpec(cfg.data_window_low, cfg.data_window_high)
-    from .preprocess import histogram_equalize, resize_bilinear, window_hu
-    from .data import SliceSample
-
-    samples = []
-    for i in range(vol.dims[2]):
-        img = resize_bilinear(histogram_equalize(window_hu(vol.voxels[i], window)),
-                              cfg.data_resize)
-        samples.append(SliceSample(img[None], np.zeros(img.shape, dtype=np.int64),
-                                   os.path.basename(path), i))
-    return samples
+    return [prepare_slice(hu, cfg.window, cfg.data.resize)[None] for hu in vol.voxels]
 
 
 def cmd_infer(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _config(args)
     model = _load_model_from_checkpoint(args, cfg)
-    samples = _input_samples(args.input, cfg)
+    masks = predict_masks(model, _input_images(args.input, cfg), 8, args.lesion_class)
     os.makedirs(args.out, exist_ok=True)
-    lesion_pixels = []
-    for i in range(0, len(samples), 8):
-        chunk = samples[i : i + 8]
-        x = Tensor(np.stack([s.image for s in chunk]))
-        pred = probs_to_mask(forward(model, x, mode="infer"), args.lesion_class)
-        for j, s in enumerate(chunk):
-            write_pgm(pred[j], os.path.join(args.out, f"slice_{s.slice_index:04d}.pgm"))
-            lesion_pixels.append((s.slice_index, int(pred[j].sum())))
+    for i, mask in enumerate(masks):
+        write_pgm(mask, os.path.join(args.out, f"slice_{i:04d}.pgm"))
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:
         fh.write("slice_index,lesion_pixels\n")
-        for idx, count in lesion_pixels:
-            fh.write(f"{idx},{count}\n")
-    print(f"wrote {len(lesion_pixels)} slice masks to {args.out}")
+        for i, mask in enumerate(masks):
+            fh.write(f"{i},{int(mask.sum())}\n")
+    print(f"wrote {len(masks)} slice masks to {args.out}")
     return 0
 
 
 def cmd_eval(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _config(args)
     model = _load_model_from_checkpoint(args, cfg)
     samples, _ = _load_dataset(args.data, cfg)
     rows, means = evaluate(model, samples, lesion_class=args.lesion_class)
@@ -248,23 +216,22 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help=".nii volume or phantoms:NxS")
     p.add_argument("--out", required=True)
-    p.add_argument("--lesion-class", type=int, default=1)
+    p.add_argument("--lesion-class", type=int, default=LESION_CLASS)
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("eval", help="score a checkpoint against labelled data")
     p.add_argument("--config", help="run configuration file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--lesion-class", type=int, default=1)
+    p.add_argument("--lesion-class", type=int, default=LESION_CLASS)
     p.add_argument("--csv", help="also write machine-readable rows here")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("params", help="parameter audit")
-    p.add_argument("--variant", choices=("proposed", "baseline-unet"),
-                   default="proposed")
-    p.add_argument("--base-depth", type=int, default=64)
-    p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--num-classes", type=int, default=2)
+    p.add_argument("--variant", choices=VARIANTS, default=ModelSpec.variant)
+    p.add_argument("--base-depth", type=int, default=ModelSpec.base_depth)
+    p.add_argument("--kernel", type=int, default=ModelSpec.kernel)
+    p.add_argument("--num-classes", type=int, default=ModelSpec.num_classes)
     p.add_argument("--compare", action="store_true",
                    help="print both totals and the reduction ratio")
     p.add_argument("--csv", action="store_true")
@@ -284,7 +251,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, NiftiError, FileNotFoundError) as exc:
+    except (DataError, NiftiError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

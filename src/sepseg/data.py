@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Rng, Tensor
-from .preprocess import WindowSpec, histogram_equalize, resize_bilinear, resize_nearest, window_hu
+from .preprocess import WindowSpec, prepare_slice, resize_nearest
 
 CHECKPOINT_MAGIC = b"SSEG"
 CHECKPOINT_VERSION = 1
@@ -40,7 +40,6 @@ class DataError(ValueError):
 class Volume:
     dims: tuple  # (X, Y, Z)
     voxels: np.ndarray  # (Z, Y, X) float32, Hounsfield units
-    source_dtype: np.dtype
 
 
 @dataclass
@@ -99,7 +98,7 @@ def read_nifti(path) -> Volume:
         )
     raw = np.frombuffer(payload, dtype=dtype, count=count, offset=vox_offset)
     voxels = (raw.astype(np.float32) * slope + inter).reshape(z, y, x)
-    return Volume(dims=(x, y, z), voxels=voxels, source_dtype=np.dtype(NIFTI_DTYPES[datatype]))
+    return Volume(dims=(x, y, z), voxels=voxels)
 
 
 # -- dataset assembly -----------------------------------------------------------
@@ -109,10 +108,10 @@ def build_slice_dataset(
     volumes,
     masks,
     window: WindowSpec = WindowSpec(),
-    resize: int = 256,
+    *,
+    resize: int,
     slice_filter: str = "all",
     neighbor_k: int = 2,
-    equalize: bool = True,
 ):
     """Axial slices windowed, equalized and resized into SliceSamples.
 
@@ -141,10 +140,7 @@ def build_slice_dataset(
         else:
             indices = range(z)
         for i in indices:
-            img = window_hu(vol.voxels[i], window)
-            if equalize:
-                img = histogram_equalize(img)
-            img = resize_bilinear(img, resize)
+            img = prepare_slice(vol.voxels[i], window, resize)
             m = resize_nearest(msk.voxels[i].astype(np.int64), resize)
             samples.append(SliceSample(img[None], m, str(vid), i))
     return samples
@@ -157,8 +153,10 @@ def generate_phantom(rng: Rng, size: int = 64, n: int = 8):
     already windowed. Ellipse area stays within a few percent to ~20% of
     the image.
     """
-    if size % 16:
-        raise ValueError(f"phantom size must be divisible by 16, got {size}")
+    if size < 16 or size % 16:
+        raise DataError(f"phantom size must be a positive multiple of 16, got {size}")
+    if n < 1:
+        raise DataError(f"phantom count must be >= 1, got {n}")
     samples = []
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     for i in range(n):
@@ -216,12 +214,12 @@ def load_checkpoint(path):
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
     off = 12
     out = OrderedDict()
     try:
+        version, count = struct.unpack_from("<II", blob, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", blob, off)
             off += 4
@@ -244,22 +242,29 @@ def load_checkpoint(path):
 
 
 def load_into_model(model, loaded):
-    """Copy checkpoint tensors into a built model, validating name order
-    and shapes; the first mismatch is reported by name."""
+    """Copy checkpoint entries into a built model, validating name order
+    and shapes; the first mismatch is reported by name. The parameters
+    come first; the batch-norm statistics may follow, and a file without
+    them leaves the model's own statistics in place."""
     params = model.named_parameters()
-    for (pname, tensor), (cname, arr) in zip(params.items(), loaded.items()):
+    targets = list(params.items()) + list(model.named_statistics().items())
+    for (pname, target), (cname, arr) in zip(targets, loaded.items()):
         if pname != cname:
             raise CheckpointError(f"parameter name mismatch: model has {pname!r}, "
                                   f"checkpoint has {cname!r}")
-        if tuple(tensor.shape) != tuple(arr.shape):
+        if tuple(target.shape) != tuple(arr.shape):
             raise CheckpointError(
-                f"shape mismatch for {pname!r}: model {tuple(tensor.shape)} "
+                f"shape mismatch for {pname!r}: model {tuple(target.shape)} "
                 f"vs checkpoint {tuple(arr.shape)}"
             )
-        tensor.data = arr.astype(tensor.data.dtype)
-    if len(params) != len(loaded):
+        if isinstance(target, Tensor):
+            target.data = arr.astype(target.data.dtype)
+        else:
+            target[...] = arr
+    if len(loaded) not in (len(params), len(targets)):
         raise CheckpointError(
-            f"entry count mismatch: model has {len(params)}, checkpoint has {len(loaded)}"
+            f"entry count mismatch: model has {len(params)} parameters and "
+            f"{len(targets) - len(params)} statistics, checkpoint has {len(loaded)} entries"
         )
 
 

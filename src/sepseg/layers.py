@@ -67,7 +67,7 @@ class BatchNormParams:
 
 @dataclass
 class DropoutParams:
-    rate: float = 0.05
+    rate: float
 
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:

@@ -31,20 +31,9 @@ from .layers import (
     separable_conv2d,
     softmax_channels,
 )
+from .metrics import probs_to_mask
 
 VARIANTS = ("proposed", "baseline-unet")
-
-
-@dataclass
-class ResNetBlockSpec:
-    in_channels: int
-    out_channels: int
-    kernel: int = 3
-    uses_separable: bool = True
-
-    @property
-    def shortcut(self):
-        return "identity" if self.in_channels == self.out_channels else "projection-1x1"
 
 
 @dataclass
@@ -60,12 +49,16 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.base_depth * 16 > self.depth_cap:
-            raise ValueError(
-                f"base_depth {self.base_depth} * 16 exceeds depth cap {self.depth_cap}"
-            )
+        if not 1 <= self.base_depth * 16 <= self.depth_cap:
+            raise ValueError(f"base_depth * 16 must be in [16, {self.depth_cap}], "
+                             f"got {self.base_depth}")
         if self.variant == "proposed" and (2 * self.base_depth) % 4:
             raise ValueError("proposed variant needs 2*base_depth divisible by 4 for pixel shuffle")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        DropoutParams(self.dropout_rate)  # rejects a rate outside [0, 1)
 
     @property
     def upsample_plan(self):
@@ -97,6 +90,18 @@ class ModelSpec:
 
 
 @dataclass
+class ResNetBlockSpec:
+    in_channels: int
+    out_channels: int
+    kernel: int = ModelSpec.kernel
+    uses_separable: bool = True
+
+    @property
+    def shortcut(self):
+        return "identity" if self.in_channels == self.out_channels else "projection-1x1"
+
+
+@dataclass
 class ResNetBlockParams:
     bn: BatchNormParams
     conv1: object  # Conv2dParams or SeparableConv2dParams
@@ -109,6 +114,7 @@ class Model:
 
     def __init__(self, spec: ModelSpec, blocks: "OrderedDict[str, ResNetBlockParams]", head: Conv2dParams):
         self.spec = spec
+        self.block_specs = dict(spec.block_specs())
         self.blocks = blocks
         self.head = head
 
@@ -131,6 +137,15 @@ class Model:
                 out[f"{stage}.res.proj.bias"] = blk.proj.bias
         out["head.out.conv.weight"] = self.head.weight
         out["head.out.conv.bias"] = self.head.bias
+        return out
+
+    def named_statistics(self) -> "OrderedDict[str, np.ndarray]":
+        """Batch-norm running statistics: state, not learned, so they stay out of the
+        optimizer and the parameter count. Checkpoints store them after the parameters."""
+        out = OrderedDict()
+        for stage, blk in self.blocks.items():
+            out[f"{stage}.res.bn.running_mean"] = blk.bn.running_mean
+            out[f"{stage}.res.bn.running_var"] = blk.bn.running_var
         return out
 
 
@@ -194,12 +209,11 @@ def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None,
             f"input spatial size {h}x{w} must be divisible by 16 "
             "(four 2x pooling stages)"
         )
-    bspecs = dict(spec.block_specs())
     features = {}
 
     def run(stage, t):
         out = resnet_block_forward(
-            bspecs[stage], model.blocks[stage], t, mode, rng, spec.dropout_rate
+            model.block_specs[stage], model.blocks[stage], t, mode, rng, spec.dropout_rate
         )
         features[stage] = out
         return out
@@ -226,6 +240,16 @@ def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None,
     if return_features:
         return probs, features
     return probs
+
+
+def predict_masks(model: Model, images, batch: int, lesion_class: int):
+    """Infer-mode lesion masks, one (H, W) uint8 array per (1, H, W)
+    image, computed ``batch`` images at a time."""
+    masks = []
+    for i in range(0, len(images), batch):
+        probs = forward(model, Tensor(np.stack(images[i : i + batch])), mode="infer")
+        masks.extend(probs_to_mask(probs, lesion_class))
+    return masks
 
 
 def count_parameters(model: Model):

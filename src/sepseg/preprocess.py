@@ -85,6 +85,11 @@ def resize_bilinear(x, target: int):
     return x.astype(np.float32)
 
 
+def prepare_slice(hu, window: WindowSpec, size: int):
+    """Model input from one axial HU slice: window, equalize, resize."""
+    return resize_bilinear(histogram_equalize(window_hu(hu, window)), size)
+
+
 def resize_nearest(x, target: int):
     """Nearest-neighbor resize; keeps label masks binary/integer."""
     x = np.asarray(x)

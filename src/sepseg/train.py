@@ -8,6 +8,7 @@ bit-reproducible from its seed.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -15,17 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Rng, Tensor, backward
-from .data import save_checkpoint
+from .data import DataError, save_checkpoint
 from .metrics import (
-    ClassWeights,
     dice_standard,
     inverse_frequency_weights,
     jaccard,
     overlap_score,
-    probs_to_mask,
     weighted_cross_entropy,
 )
-from .model import ModelSpec, build_model, forward
+from .model import ModelSpec, build_model, forward, predict_masks
+from .preprocess import AugmentSpec, augment_pair
+
+GRAD_CLIP = 5.0  # global gradient-norm bound
+LESION_CLASS = 1
 
 
 class NumericError(RuntimeError):
@@ -33,8 +36,26 @@ class NumericError(RuntimeError):
 
 
 @dataclass
-class AdamState:
+class TrainConfig:
+    iterations: int = 100_000
+    batch_size: int = 16
     lr: float = 0.001
+    eval_every: int = 500
+    augment: bool = True
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if not self.lr >= 0.0:
+            raise ValueError(f"learning rate must be >= 0, got {self.lr}")
+        if self.eval_every < 1:
+            raise ValueError(f"eval interval must be >= 1, got {self.eval_every}")
+
+
+@dataclass
+class AdamState:
+    lr: float = TrainConfig.lr
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -88,10 +109,6 @@ def kfold_split(samples, folds: int, fold_index: int, seed: int):
     Deterministic given the seed; the union of all folds' validation
     sets partitions the volumes.
     """
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
-    if not 0 <= fold_index < folds:
-        raise ValueError(f"fold index {fold_index} out of range for {folds} folds")
     volume_ids = sorted({s.volume_id for s in samples})
     if len(volume_ids) < folds:
         raise ValueError(f"need at least {folds} volumes for {folds} folds, "
@@ -107,36 +124,12 @@ def kfold_split(samples, folds: int, fold_index: int, seed: int):
 def split_slices(samples, folds: int, fold_index: int, seed: int):
     """Slice-granularity fallback split for single-volume datasets
     (e.g. phantoms), same fold semantics as kfold_split."""
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
     order = list(Rng(seed, 7).integers(0, 2**62, len(samples)))
     shuffled = [s for _, s in sorted(zip(order, range(len(samples))))]
     val_idx = set(shuffled[fold_index::folds])
     train = [s for i, s in enumerate(samples) if i not in val_idx]
     val = [s for i, s in enumerate(samples) if i in val_idx]
     return train, val
-
-
-@dataclass
-class TrainConfig:
-    iterations: int = 100_000
-    batch_size: int = 16
-    lr: float = 0.001
-    dropout: float = 0.05
-    val_fraction: float = 0.25
-    folds: int = 4
-    fold_index: int = 0
-    seed: int = 0
-    eval_every: int = 500
-    augment: bool = True
-    grad_clip: float = 5.0
-    lesion_class: int = 1
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val fraction must be in (0, 1), got {self.val_fraction}")
 
 
 @dataclass
@@ -171,8 +164,6 @@ def _draw_batch(train_set, lesion_idx, batch_size, rng, lesion_class):
 
 
 def _batch_arrays(batch, config, rng_aug, aug_spec):
-    from .preprocess import augment_pair
-
     images, labels = [], []
     for slot, s in enumerate(batch):
         img, msk = s.image[0], s.mask
@@ -187,38 +178,37 @@ def _mean_dice(model, samples, batch, lesion_class):
     """Mean per-slice dice (standard + overlap) in infer mode; slices
     with empty truth are skipped for the per-slice mean."""
     dices, overlaps = [], []
-    for i in range(0, len(samples), batch):
-        chunk = samples[i : i + batch]
-        x = Tensor(np.stack([s.image for s in chunk]))
-        probs = forward(model, x, mode="infer")
-        pred = probs_to_mask(probs, lesion_class)
-        for j, s in enumerate(chunk):
-            truth = (s.mask == lesion_class).astype(np.uint8)
-            if not truth.any():
-                continue
-            dices.append(dice_standard(pred[j], truth))
-            overlaps.append(overlap_score(pred[j], truth))
+    preds = predict_masks(model, [s.image for s in samples], batch, lesion_class)
+    for s, pred in zip(samples, preds):
+        truth = (s.mask == lesion_class).astype(np.uint8)
+        if not truth.any():
+            continue
+        dices.append(dice_standard(pred, truth))
+        overlaps.append(overlap_score(pred, truth))
     if not dices:
         return 0.0, 0.0
     return float(np.mean(dices)), float(np.mean(overlaps))
 
 
+def _snapshot(model):
+    """Checkpoint entries: copies of the parameters, then of the
+    batch-norm running statistics."""
+    entries = OrderedDict((k, p.data.copy()) for k, p in model.named_parameters().items())
+    entries.update((k, s.copy()) for k, s in model.named_statistics().items())
+    return entries
+
+
 def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
-          out_dir=None, aug_spec=None, log_fn=None):
+          out_dir=None, log_fn=None):
     """Run the optimization loop; returns (model, records, best).
 
-    ``best`` is (iteration, val_dice, checkpoint arrays). When ``out_dir``
+    ``best`` is (iteration, val_dice, checkpoint entries). When ``out_dir``
     is given, best.ckpt / final.ckpt / run_log.csv / timing.txt are
     written there.
     """
-    import os
-
-    from .preprocess import AugmentSpec
-
     if not train_set:
-        raise ValueError("training split is empty")
-    if aug_spec is None:
-        aug_spec = AugmentSpec()
+        raise DataError("training split is empty")
+    aug_spec = AugmentSpec()
     rng = Rng(config.seed)
     model = build_model(model_spec, rng.substream(0))
     weights = inverse_frequency_weights(
@@ -226,18 +216,14 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
     )
     params = model.named_parameters()
     state = AdamState(lr=config.lr)
-    model_spec.dropout_rate = config.dropout
-    lesion_idx = [
-        i for i, s in enumerate(train_set) if np.any(s.mask == config.lesion_class)
-    ]
+    lesion_idx = [i for i, s in enumerate(train_set) if np.any(s.mask == LESION_CLASS)]
     records = []
     best = None  # (iteration, val_dice, snapshot)
     start = time.time()
 
     for it in range(1, config.iterations + 1):
         batch = _draw_batch(
-            train_set, lesion_idx, config.batch_size, rng.substream(1, it),
-            config.lesion_class,
+            train_set, lesion_idx, config.batch_size, rng.substream(1, it), LESION_CLASS,
         )
         x_np, y_np = _batch_arrays(batch, config, rng.substream(2, it), aug_spec)
         x = Tensor(x_np)
@@ -250,15 +236,13 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
                 f"(batch volumes {[s.volume_id for s in batch]})"
             )
         backward(loss)
-        clip_gradients(params, config.grad_clip)
+        clip_gradients(params, GRAD_CLIP)
         adam_step(params, state)
 
         if it % config.eval_every == 0 or it == config.iterations:
-            train_dice, _ = _mean_dice(model, train_set, config.batch_size,
-                                       config.lesion_class)
+            train_dice, _ = _mean_dice(model, train_set, config.batch_size, LESION_CLASS)
             val_dice, val_overlap = _mean_dice(
-                model, val_set if val_set else train_set, config.batch_size,
-                config.lesion_class,
+                model, val_set if val_set else train_set, config.batch_size, LESION_CLASS,
             )
             rec = RunRecord(it, loss_val, train_dice, val_dice, val_overlap,
                             time.time() - start)
@@ -266,19 +250,15 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
             if log_fn:
                 log_fn(rec)
             if best is None or val_dice > best[1]:
-                snapshot = OrderedDict(
-                    (k, p.data.copy()) for k, p in params.items()
-                )
-                best = (it, val_dice, snapshot)
+                best = (it, val_dice, _snapshot(model))
 
     if best is None:
-        best = (config.iterations, 0.0,
-                OrderedDict((k, p.data.copy()) for k, p in params.items()))
+        best = (config.iterations, 0.0, _snapshot(model))
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(best[2], os.path.join(out_dir, "best.ckpt"))
-        save_checkpoint(params, os.path.join(out_dir, "final.ckpt"))
+        save_checkpoint(_snapshot(model), os.path.join(out_dir, "final.ckpt"))
         with open(os.path.join(out_dir, "run_log.csv"), "w") as fh:
             fh.write(run_log_lines(records))
         with open(os.path.join(out_dir, "timing.txt"), "w") as fh:
@@ -287,7 +267,7 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
     return model, records, best
 
 
-def evaluate(model, samples, lesion_class: int = 1, batch: int = 8):
+def evaluate(model, samples, lesion_class: int = LESION_CLASS, batch: int = 8):
     """Per-volume and aggregate scores in infer mode.
 
     Per-volume rows: mean per-slice scores over slices with nonempty
@@ -298,15 +278,8 @@ def evaluate(model, samples, lesion_class: int = 1, batch: int = 8):
         by_volume.setdefault(s.volume_id, []).append(s)
     rows = []
     for vid, group in by_volume.items():
-        preds, truths = [], []
-        for i in range(0, len(group), batch):
-            chunk = group[i : i + batch]
-            x = Tensor(np.stack([s.image for s in chunk]))
-            probs = forward(model, x, mode="infer")
-            preds.append(probs_to_mask(probs, lesion_class))
-            truths.append(np.stack([(s.mask == lesion_class) for s in chunk]))
-        pred = np.concatenate(preds)
-        truth = np.concatenate(truths).astype(np.uint8)
+        pred = np.stack(predict_masks(model, [s.image for s in group], batch, lesion_class))
+        truth = np.stack([(s.mask == lesion_class) for s in group]).astype(np.uint8)
         slice_scores = [
             (overlap_score(pred[i], truth[i]), dice_standard(pred[i], truth[i]),
              jaccard(pred[i], truth[i]))

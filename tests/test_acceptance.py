@@ -114,9 +114,9 @@ class TestAcceptance:
 
     def test_06_phantom_overfit(self, tmp_path):
         samples = generate_phantom(Rng(0, 9), 64, 8)
-        spec = ModelSpec(variant="proposed", base_depth=8)
+        spec = ModelSpec(variant="proposed", base_depth=8, dropout_rate=0.05)
         cfg = TrainConfig(iterations=300, batch_size=4, lr=0.001, seed=0,
-                          eval_every=50, augment=True, dropout=0.05)
+                          eval_every=50, augment=True)
         start = time.monotonic()
         _, records, _ = train(spec, cfg, samples, samples[:2],
                               out_dir=str(tmp_path))

@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sepseg.autograd import _accum, _make
 from sepseg.cli import main
-from sepseg.config import ConfigError, parse_config, render_config
+from sepseg.config import ConfigError, RunConfig, parse_config, render_config
 
 from conftest import make_nifti
 
@@ -28,14 +30,14 @@ def config_path(tmp_path):
 class TestConfig:
     def test_defaults_carry_stated_values(self):
         cfg = parse_config("")
-        assert cfg.train_iterations == 100_000
-        assert cfg.train_batch_size == 16
-        assert cfg.train_lr == 0.001
-        assert cfg.train_dropout == 0.05
-        assert cfg.data_window_low == -100.0
-        assert cfg.data_window_high == 200.0
-        assert cfg.data_resize == 256
-        assert cfg.folds == 4
+        assert cfg.train.iterations == 100_000
+        assert cfg.train.batch_size == 16
+        assert cfg.train.lr == 0.001
+        assert cfg.model.dropout_rate == 0.05
+        assert cfg.window.low == -100.0
+        assert cfg.window.high == 200.0
+        assert cfg.data.resize == 256
+        assert cfg.data.folds == 4
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -49,6 +51,18 @@ class TestConfig:
         cfg = parse_config(SMALL_CONFIG)
         again = parse_config(render_config(cfg))
         assert cfg == again
+
+    def _readme_block(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+    def test_readme_block_is_the_default_config(self):
+        assert parse_config(self._readme_block()) == RunConfig()
+
+    def test_readme_block_lists_the_rendered_keys_in_order(self):
+        documented = [line.split("=")[0].strip() for line in self._readme_block().splitlines()]
+        rendered = [line.split(" = ")[0] for line in render_config(RunConfig()).splitlines()]
+        assert documented == rendered and len(rendered) == 16
 
 
 class TestTrainCommand:
@@ -87,6 +101,24 @@ class TestTrainCommand:
                      "--data", "phantoms:4x32", "--out", str(tmp_path / "out")])
         assert code == 1
 
+    @pytest.mark.parametrize("line", ["model.variant = foo", "folds = 1", "fold-index = 9",
+                                      "data.window-low = 300", "data.resize = 30"])
+    def test_invalid_value_exit_1_names_its_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CONFIG + line + "\n")
+        code = main(["train", "--config", str(cfg),
+                     "--data", "phantoms:4x32", "--out", str(tmp_path / "out")])
+        assert code == 1
+        lineno = len(SMALL_CONFIG.splitlines()) + 1
+        assert f"line {lineno}: bad value for '{line.split()[0]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["phantoms:4x40", "phantoms:1x32", "phantoms:0x32"])
+    def test_bad_phantom_spec_exit_2(self, tmp_path, config_path, capsys, spec):
+        code = main(["train", "--config", config_path,
+                     "--data", spec, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
 
 class TestInferEval:
     @pytest.fixture
@@ -123,6 +155,17 @@ class TestInferEval:
                      "--input", str(tmp_path / "missing.nii"),
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("kind,code", [("six-byte file", 4), ("directory", 2)])
+    def test_unreadable_checkpoint_exit_code(self, tmp_path, config_path, capsys, kind, code):
+        ckpt = tmp_path / "m.ckpt"
+        if kind == "directory":
+            ckpt.mkdir()
+        else:
+            ckpt.write_bytes(b"SSEG\x01\x00")
+        assert main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
+                     "--input", "phantoms:4x32", "--out", str(tmp_path / "x")]) == code
+        assert capsys.readouterr().err
 
     def test_eval_prints_score_columns(self, tmp_path, config_path, trained, capsys):
         code = main(["eval", "--config", config_path,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepseg.autograd import Rng, Tensor, backward
-from sepseg.data import generate_phantom
+from sepseg.data import generate_phantom, load_checkpoint, load_into_model
 from sepseg.metrics import ClassWeights, weighted_cross_entropy
 from sepseg.model import ModelSpec, build_model, forward
 from sepseg.train import (
@@ -118,8 +118,9 @@ def _phantom_setup(n=4, size=32):
 class TestTrainingLoop:
     def test_lr_zero_leaves_parameters_unchanged(self):
         samples, spec = _phantom_setup()
+        spec.dropout_rate = 0.0
         cfg = TrainConfig(iterations=3, batch_size=2, lr=0.0, seed=0, eval_every=3,
-                          augment=False, dropout=0.0)
+                          augment=False)
         model, _, _ = train(spec, cfg, samples, [])
         reference = build_model(ModelSpec(variant="proposed", base_depth=8), Rng(0, 0))
         for (n1, p1), (n2, p2) in zip(model.named_parameters().items(),
@@ -170,6 +171,16 @@ class TestTrainingLoop:
         assert best[1] == max(r.val_dice for r in records)
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "run_log.csv").exists()
+
+    def test_final_checkpoint_restores_batch_norm_statistics(self, tmp_path):
+        samples, spec = _phantom_setup()
+        cfg = TrainConfig(iterations=4, batch_size=2, seed=7, eval_every=2)
+        model, _, _ = train(spec, cfg, samples, samples[:2], out_dir=str(tmp_path))
+        fresh = build_model(spec, Rng(99, 0))
+        load_into_model(fresh, load_checkpoint(str(tmp_path / "final.ckpt")))
+        x = Tensor(np.stack([s.image for s in samples]))
+        np.testing.assert_array_equal(forward(fresh, x, "infer").data,
+                                      forward(model, x, "infer").data)
 
     def test_empty_train_set_rejected(self):
         _, spec = _phantom_setup()
