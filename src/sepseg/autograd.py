@@ -334,18 +334,12 @@ def _col2im_forward(cols, x_shape, k, stride, pad):
     w_out = (w + 2 * pad - k) // stride + 1
     cols = cols.reshape(c, k, k, n, h_out, w_out)
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    # within one offset the strided slice repeats no index, so a plain
+    # += adds each column value once, in the same offset order as a scatter
     for ky in range(k):
         for kx in range(k):
-            np.add.at(
-                xp,
-                (
-                    slice(None),
-                    slice(None),
-                    slice(ky, ky + stride * h_out, stride),
-                    slice(kx, kx + stride * w_out, stride),
-                ),
-                cols[:, ky, kx].transpose(1, 0, 2, 3),
-            )
+            patch = xp[:, :, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
+            patch += cols[:, ky, kx].transpose(1, 0, 2, 3)
     if pad:
         xp = xp[:, :, pad:-pad, pad:-pad]
     return xp

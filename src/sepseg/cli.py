@@ -160,8 +160,11 @@ def cmd_eval(args):
 
 def cmd_params(args):
     def table(variant):
-        spec = ModelSpec(variant=variant, base_depth=args.base_depth,
-                         num_classes=args.num_classes, kernel=args.kernel)
+        try:
+            spec = ModelSpec(variant=variant, base_depth=args.base_depth,
+                             num_classes=args.num_classes, kernel=args.kernel)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         model = build_model(spec, Rng(0, 0))
         return count_parameters(model)
 

@@ -8,6 +8,7 @@ runs, and the bit-exact binary checkpoint format.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from collections import OrderedDict
@@ -79,7 +80,11 @@ def read_nifti(path) -> Volume:
     datatype = struct.unpack_from(endian + "h", header, 70)[0]
     if datatype not in NIFTI_DTYPES:
         raise NiftiError(f"unsupported datatype code {datatype}")
-    vox_offset = int(struct.unpack_from(endian + "f", header, 108)[0])
+    vox_offset = struct.unpack_from(endian + "f", header, 108)[0]
+    # an n+1 file stores its voxels after the header and 4 extension bytes
+    if not (math.isfinite(vox_offset) and vox_offset >= 352):
+        raise NiftiError(f"vox_offset {vox_offset} must be a number >= 352, past the header")
+    vox_offset = int(vox_offset)
     slope = struct.unpack_from(endian + "f", header, 112)[0]
     inter = struct.unpack_from(endian + "f", header, 116)[0]
     if slope == 0.0:
@@ -87,6 +92,8 @@ def read_nifti(path) -> Volume:
 
     x, y = dim[1], dim[2]
     z = dim[3] if dim[0] >= 3 else 1
+    if min(x, y, z) < 1:
+        raise NiftiError(f"non-positive image dims {(x, y, z)} (dim = {dim})")
     count = x * y * z
     dtype = np.dtype(NIFTI_DTYPES[datatype]).newbyteorder(endian)
     payload = header + rest
@@ -223,13 +230,16 @@ def load_checkpoint(path):
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", blob, off)
             off += 4
-            name = blob[off : off + name_len].decode("utf-8")
+            try:
+                name = blob[off : off + name_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"entry name at byte {off} is not UTF-8") from exc
             off += name_len
             (rank,) = struct.unpack_from("<I", blob, off)
             off += 4
             shape = struct.unpack_from(f"<{rank}I", blob, off)
             off += 4 * rank
-            size = int(np.prod(shape, dtype=np.int64)) if rank else 1
+            size = math.prod(shape)
             end = off + 4 * size
             if end > len(blob):
                 raise CheckpointError(f"truncated payload for entry {name!r}")
@@ -238,6 +248,8 @@ def load_checkpoint(path):
             off = end
     except struct.error as exc:
         raise CheckpointError(f"truncated checkpoint: {exc}") from exc
+    if off != len(blob):
+        raise CheckpointError(f"{len(blob) - off} trailing bytes after the last entry")
     return out
 
 

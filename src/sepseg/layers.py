@@ -4,6 +4,14 @@ Standard and depthwise separable convolutions, batch normalization,
 2x2 max pooling, bilinear 2x upsampling, parameter-free pixel shuffle,
 dropout and the activations. All layers are differentiable through the
 autograd graph; parameters live in small dataclass containers.
+
+A separable convolution is a depthwise k x k pass, computed as
+cache-blocked shifted multiply-adds, and a 1x1 pointwise pass, computed as
+one matmul per image. Standard k x k convolutions (k > 1) go through
+im2col + matmul. Each kernel keeps the summation order of the plain
+formulation it replaced: the 1x1 path and the depthwise input gradient
+are bit-identical to it, and so is the depthwise forward at k = 1 and 3
+(see ``_depthwise_conv2d``).
 """
 
 from __future__ import annotations
@@ -118,11 +126,18 @@ def separable_param_count(c_in, c_out, k):
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Cross-correlation with bias, realized as im2col + matmul."""
+    """Cross-correlation with bias.
+
+    A 1x1 kernel at stride 1 without padding is one matmul over the
+    (N, C_in, H*W) view of the input (see ``_conv1x1``); every other
+    kernel is realized as im2col + matmul.
+    """
     n, c_in, h, w = x.shape
     c_out, c_w, k, _ = p.weight.shape
     if c_in != c_w:
         raise ShapeError(f"conv2d channel mismatch: input has {c_in}, weight expects {c_w}")
+    if k == 1 and p.stride == 1 and p.pad == 0:
+        return _conv1x1(x, p.weight, p.bias)
     h_out = (h + 2 * p.pad - k) // p.stride + 1
     w_out = (w + 2 * p.pad - k) // p.stride + 1
     cols = im2col(x, k, p.stride, p.pad)
@@ -131,26 +146,93 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     return out + p.bias.reshape(1, c_out, 1, 1)
 
 
+def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Pointwise convolution as one node: W @ x per image, no im2col copy.
+
+    Forward and gradients equal the im2col path bit for bit; the bias
+    gradient sums over batch, rows and columns in that order, as the
+    broadcast add's backward does.
+    """
+    n, c_in, h, w = x.shape
+    c_out = weight.shape[0]
+    x3 = x.data.reshape(n, c_in, h * w)
+    w2 = weight.data.reshape(c_out, c_in)
+    out_data = np.matmul(w2, x3)
+    out_data += bias.data[:, None]
+
+    def bwd(g):
+        # (C_out, N*H*W) @ (N*H*W, C_in): the im2col path's one GEMM
+        g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
+        x2 = x.data.transpose(1, 0, 2, 3).reshape(c_in, n * h * w)
+        _accum(weight, (g2 @ x2.T).reshape(weight.shape))
+        _accum(bias, g.sum(axis=0).sum(axis=1).sum(axis=1))
+        if x.requires_grad:
+            _accum(x, np.matmul(w2.T, g.reshape(n, c_out, h * w)).reshape(x.shape))
+
+    return _make(out_data.reshape(n, c_out, h, w), (x, weight, bias), bwd)
+
+
+# float32 elements in one (batch, channel-slice) block of the depthwise
+# kernel: 256 KiB, so the input, output and two scratch buffers of a block
+# stay in a 2 MiB per-core L2 cache across the k*k shifted passes
+_DEPTHWISE_BLOCK = 1 << 16
+
+
 def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
-    """Per-channel k x k convolution, stride 1, spatial size preserved."""
+    """Per-channel k x k convolution, stride 1, spatial size preserved.
+
+    Forward and input gradient are k*k shifted multiply-adds into
+    preallocated buffers, one (batch, channel-slice) block of about
+    ``_DEPTHWISE_BLOCK`` elements at a time, so that each pass over a shift
+    reads and writes cache rather than memory.
+
+    The summation order is part of the contract, because training amplifies
+    last-ulp differences. The forward sums each kernel row left to right
+    into a row buffer, adds the row sums to a zeroed output in row order,
+    then adds the bias: this equals ``einsum("nchwij,cij->nchw")`` over the
+    sliding windows bit for bit at k = 1 and 3, and agrees to float rounding
+    at other k. The input gradient scatters the shifts in (i, j) order, and
+    the weight gradient stays one einsum over the sliding windows.
+    """
     n, c, h, w = x.shape
     cw, one, k, _ = weight.shape
     if cw != c or one != 1:
         raise ShapeError(f"depthwise weight {weight.shape} incompatible with input channels {c}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     dw = weight.data.reshape(c, k, k)
-    out_data = np.einsum("nchwij,cij->nchw", win, dw) + bias.data[None, :, None, None]
-    ho, wo = out_data.shape[2], out_data.shape[3]
+    ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+    cb = min(c, max(1, _DEPTHWISE_BLOCK // (ho * wo)))
+    blocks = [(b, slice(c0, c0 + cb)) for b in range(n) for c0 in range(0, c, cb)]
+    dtype = np.result_type(xp, dw)
+    out_data = np.empty((n, c, ho, wo), dtype=dtype)
+    row = np.empty((cb, ho, wo), dtype=dtype)
+    tmp = np.empty_like(row)
+    for b, cs in blocks:
+        xs, o = xp[b, cs], out_data[b, cs]
+        r, t = row[: o.shape[0]], tmp[: o.shape[0]]
+        o.fill(0)
+        for i in range(k):
+            np.multiply(xs[:, i : i + ho, :wo], dw[cs, i, 0, None, None], out=r)
+            for j in range(1, k):
+                np.multiply(xs[:, i : i + ho, j : j + wo], dw[cs, i, j, None, None], out=t)
+                r += t
+            o += r
+        o += bias.data[cs, None, None]
 
     def bwd(g):
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
         _accum(weight, np.einsum("nchwij,nchw->cij", win, g).reshape(c, 1, k, k))
         _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             gpad = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gpad[:, :, i : i + ho, j : j + wo] += g * dw[None, :, i, j, None, None]
+            prod = np.empty((cb, ho, wo), dtype=np.result_type(g, dw))
+            for b, cs in blocks:
+                gs, gp = g[b, cs], gpad[b, cs]
+                pb = prod[: gs.shape[0]]
+                for i in range(k):
+                    for j in range(k):
+                        np.multiply(gs, dw[cs, i, j, None, None], out=pb)
+                        gp[:, i : i + ho, j : j + wo] += pb
             _accum(x, gpad[:, :, pad : pad + h, pad : pad + w] if pad else gpad)
 
     return _make(out_data.astype(x.dtype, copy=False), (x, weight, bias), bwd)

@@ -3,6 +3,7 @@ import pytest
 
 from sepseg.autograd import (
     Rng,
+    _col2im_forward,
     ShapeError,
     Tensor,
     add,
@@ -128,6 +129,42 @@ def test_im2col_col2im_adjoint():
     backward((cols * y).sum())  # im2col's backward applies col2im to y
     rhs = float((x.data * x.grad).sum())
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def _col2im_scatter_oracle(cols, x_shape, k, stride, pad):
+    """The seed's col2im: one ``np.add.at`` scatter per kernel offset."""
+    n, c, h, w = x_shape
+    h_out = (h + 2 * pad - k) // stride + 1
+    w_out = (w + 2 * pad - k) // stride + 1
+    cols = cols.reshape(c, k, k, n, h_out, w_out)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for ky in range(k):
+        for kx in range(k):
+            np.add.at(
+                xp,
+                (
+                    slice(None),
+                    slice(None),
+                    slice(ky, ky + stride * h_out, stride),
+                    slice(kx, kx + stride * w_out, stride),
+                ),
+                cols[:, ky, kx].transpose(1, 0, 2, 3),
+            )
+    return xp[:, :, pad : pad + h, pad : pad + w]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_col2im_equals_scatter_oracle(k, stride, pad):
+    x_shape = (2, 3, 7, 6)
+    ho = (7 + 2 * pad - k) // stride + 1
+    wo = (6 + 2 * pad - k) // stride + 1
+    rng = np.random.default_rng(k * 10 + stride * 2 + pad)
+    cols = rng.normal(size=(3 * k * k, 2 * ho * wo)).astype(np.float32)
+    got = _col2im_forward(cols, x_shape, k, stride, pad)
+    assert got.shape == x_shape and got.dtype == np.float32
+    np.testing.assert_array_equal(got, _col2im_scatter_oracle(cols, x_shape, k, stride, pad))
 
 
 def test_backward_sum_gives_ones():

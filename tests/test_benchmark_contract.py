@@ -1,0 +1,68 @@
+"""The names the benchmark's tracer wraps must exist in the program.
+
+``perfbench/tracing.py`` replaces sepseg functions by identity and skips a
+name it cannot find, so its per-layer metrics for that name then read 0
+without any error. These tests read the tracer's target table (without
+importing the benchmark) and check every name against the package, so a
+rename or an inlined call fails here instead of blinding the trace.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import sepseg.autograd as ag
+import sepseg.layers as layers
+from sepseg.autograd import Rng, Tensor
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+# patched by name in Recorder.install, outside SIMPLE_TARGETS
+DIRECT_TARGETS = (
+    ("sepseg.layers", "conv2d"),
+    ("sepseg.autograd", "_make"),
+    ("sepseg.autograd", "backward"),
+    ("sepseg.model", "forward"),
+    ("sepseg.train", "_draw_batch"),
+    ("sepseg.train", "adam_step"),
+)
+
+
+def _simple_targets():
+    tree = ast.parse(TRACING.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SIMPLE_TARGETS" for t in node.targets
+        ):
+            return [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+    raise AssertionError(f"SIMPLE_TARGETS not found in {TRACING}")
+
+
+@pytest.mark.parametrize("module,attr", _simple_targets() + list(DIRECT_TARGETS))
+def test_traced_name_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_layers_build_nodes_through_autograd_make():
+    # the tracer swaps _make in every sepseg module that holds it
+    assert layers._make is ag._make
+
+
+def test_separable_conv_reaches_both_halves_through_module_globals(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(layers, name, wrapper)
+
+    spy("_depthwise_conv2d", layers._depthwise_conv2d)
+    spy("conv2d", layers.conv2d)
+    p = layers.init_separable_conv2d(3, 4, 3, Rng(0))
+    layers.separable_conv2d(Tensor(np.ones((1, 3, 8, 8), dtype=np.float32)), p)
+    assert calls == ["_depthwise_conv2d", "conv2d"]

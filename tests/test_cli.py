@@ -1,11 +1,14 @@
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sepseg.autograd import _accum, _make
+from sepseg.autograd import Rng, _accum, _make
 from sepseg.cli import main
 from sepseg.config import ConfigError, RunConfig, parse_config, render_config
+from sepseg.data import save_checkpoint
+from sepseg.model import ModelSpec, build_model
 
 from conftest import make_nifti
 
@@ -167,6 +170,53 @@ class TestInferEval:
                      "--input", "phantoms:4x32", "--out", str(tmp_path / "x")]) == code
         assert capsys.readouterr().err
 
+    @pytest.fixture
+    def untrained_ckpt(self, tmp_path):
+        """Parameters and batch-norm statistics of a model built for SMALL_CONFIG."""
+        model = build_model(ModelSpec(variant="proposed", base_depth=8), Rng(0, 0))
+        path = tmp_path / "untrained.ckpt"
+        save_checkpoint({**model.named_parameters(), **model.named_statistics()}, path)
+        return path
+
+    @pytest.mark.parametrize("damage,message", [
+        ("non-UTF-8 name", "UTF-8"),
+        ("trailing bytes", "trailing"),
+    ])
+    def test_damaged_checkpoint_exit_4(self, tmp_path, config_path, untrained_ckpt, capsys,
+                                       damage, message):
+        blob = bytearray(untrained_ckpt.read_bytes())
+        if damage == "trailing bytes":
+            blob += bytes(4)
+        else:
+            blob[16] = 0xFF  # first byte of the first entry name
+        ckpt = tmp_path / "damaged.ckpt"
+        ckpt.write_bytes(bytes(blob))
+        code = main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
+                     "--input", "phantoms:4x32", "--out", str(tmp_path / "x")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint mismatch:") and message in err
+
+    def test_untrained_checkpoint_infers(self, tmp_path, config_path, untrained_ckpt):
+        assert main(["infer", "--config", config_path, "--checkpoint", str(untrained_ckpt),
+                     "--input", "phantoms:4x32", "--out", str(tmp_path / "x")]) == 0
+
+    @pytest.mark.parametrize("offset,fmt,value", [
+        (42, "<h", -3),  # dim[1]
+        (108, "<f", 0.0),  # vox_offset
+    ])
+    def test_bad_nifti_header_exit_2(self, tmp_path, config_path, untrained_ckpt, capsys,
+                                     offset, fmt, value):
+        nii = tmp_path / "volume.nii"
+        make_nifti(str(nii), np.zeros((2, 32, 32), dtype=np.int16))
+        blob = bytearray(nii.read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        nii.write_bytes(bytes(blob))
+        code = main(["infer", "--config", config_path, "--checkpoint", str(untrained_ckpt),
+                     "--input", str(nii), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
     def test_eval_prints_score_columns(self, tmp_path, config_path, trained, capsys):
         code = main(["eval", "--config", config_path,
                      "--checkpoint", str(trained / "best.ckpt"),
@@ -201,6 +251,18 @@ class TestParamsCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "name,shape,count"
         assert lines[-1].startswith("total,,")
+
+    @pytest.mark.parametrize("flags", [
+        ["--base-depth", "7"],
+        ["--kernel", "4"],
+        ["--num-classes", "1"],
+        ["--compare", "--kernel", "0"],
+    ])
+    def test_invalid_spec_exit_1(self, capsys, flags):
+        assert main(["params", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
 
 
 class TestGradcheckCommand:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,31 @@ class TestNiftiReader:
                              truncate=10)
         with pytest.raises(NiftiError, match="truncated"):
             read_nifti(path)
+
+    @staticmethod
+    def _patch(path, offset, fmt, value):
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(struct.pack(fmt, value))
+
+    @pytest.mark.parametrize("axis,value", [(1, -3), (2, 0), (3, -1)])
+    def test_non_positive_dim_rejected(self, nifti_factory, axis, value):
+        path = nifti_factory("v.nii", np.zeros((2, 3, 3), dtype=np.int16))
+        self._patch(path, 40 + 2 * axis, "<h", value)
+        with pytest.raises(NiftiError, match="non-positive"):
+            read_nifti(path)
+
+    @pytest.mark.parametrize("vox_offset", [0.0, 348.0, float("nan"), float("inf")])
+    def test_vox_offset_inside_header_rejected(self, nifti_factory, vox_offset):
+        path = nifti_factory("v.nii", np.zeros((2, 3, 3), dtype=np.int16))
+        self._patch(path, 108, "<f", vox_offset)
+        with pytest.raises(NiftiError, match="vox_offset"):
+            read_nifti(path)
+
+    def test_vox_offset_past_extension_accepted(self, nifti_factory):
+        data = np.arange(18, dtype=np.int16).reshape(2, 3, 3)
+        vol = read_nifti(nifti_factory("v.nii", data, vox_offset=400))
+        np.testing.assert_array_equal(vol.voxels, data)
 
 
 def _volume_pair(z=5, side=32, lesion_slices=(2,)):
@@ -219,6 +246,37 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-17])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        model = build_model(ModelSpec(base_depth=8), Rng(0, 0))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model.named_parameters(), path)
+        blob = bytearray(path.read_bytes())
+        blob[16] = 0xFF  # first byte of the first entry name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("tail", [b"\x00", bytes(4), b"SSEG"])
+    def test_trailing_bytes_rejected(self, tmp_path, tail):
+        model = build_model(ModelSpec(base_depth=8), Rng(0, 0))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model.named_parameters(), path)
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(CheckpointError, match=f"{len(tail)} trailing bytes"):
+            load_checkpoint(path)
+
+    def test_checkpoint_with_statistics_loads(self, tmp_path):
+        model = build_model(ModelSpec(base_depth=8), Rng(0, 0))
+        stats = model.named_statistics()
+        for arr in stats.values():
+            arr += 0.5
+        path = tmp_path / "m.ckpt"
+        save_checkpoint({**model.named_parameters(), **stats}, path)
+        fresh = build_model(ModelSpec(base_depth=8), Rng(1, 0))
+        load_into_model(fresh, load_checkpoint(path))
+        for name, arr in fresh.named_statistics().items():
+            np.testing.assert_array_equal(arr, stats[name])
 
     def test_shape_mismatch_names_first_entry(self, tmp_path):
         small = build_model(ModelSpec(base_depth=8), Rng(0, 0))

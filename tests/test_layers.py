@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sepseg.autograd import Rng, ShapeError, Tensor, backward
+from sepseg.autograd import Rng, ShapeError, Tensor, backward, im2col, matmul
 from sepseg.layers import (
+    _depthwise_conv2d,
     BatchNormParams,
     Conv2dParams,
     DropoutParams,
@@ -69,6 +70,126 @@ class TestConv2d:
         p = Conv2dParams(Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.zeros(2)), pad=1)
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 4, 5, 5))), p)
+
+
+def _depthwise_einsum_oracle(x, weight, bias, pad):
+    """The seed's depthwise forward: one einsum over the sliding windows."""
+    c, _, k, _ = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    out = np.einsum("nchwij,cij->nchw", win, weight.reshape(c, k, k)) + bias[None, :, None, None]
+    return out.astype(x.dtype, copy=False)
+
+
+def _depthwise_input_grad_oracle(g, weight, pad):
+    """The seed's depthwise input gradient: k*k shifted scatters in (i, j) order."""
+    n, c, ho, wo = g.shape
+    k = weight.shape[2]
+    dw = weight.reshape(c, k, k)
+    gpad = np.zeros((n, c, ho + k - 1, wo + k - 1), dtype=g.dtype)
+    for i in range(k):
+        for j in range(k):
+            gpad[:, :, i : i + ho, j : j + wo] += g * dw[None, :, i, j, None, None]
+    return gpad[:, :, pad : pad + ho, pad : pad + wo]
+
+
+def _depthwise_case(shape, k, dtype, transposed=False):
+    """Depthwise output and input gradient for a random input, plus the
+    numpy arrays the oracles take."""
+    rng = np.random.default_rng(0)
+    n, c, h, w = shape
+    x = rng.normal(size=(n, c, w, h) if transposed else shape).astype(dtype)
+    if transposed:
+        x = x.transpose(0, 1, 3, 2)  # a strided view, not C-contiguous
+    weight = rng.normal(size=(c, 1, k, k)).astype(dtype)
+    bias = rng.normal(size=c).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    xt = Tensor(x, requires_grad=True)
+    out = _depthwise_conv2d(xt, Tensor(weight, requires_grad=True), Tensor(bias), (k - 1) // 2)
+    backward((out * Tensor(g)).sum())
+    return out.data, xt.grad, (x, weight, bias, g)
+
+
+# (2, 7, 129, 129): 3 channels of 129^2 per block, so blocks of 3, 3 and 1 channels
+DEPTHWISE_SHAPES = [(2, 7, 129, 129), (4, 16, 64, 64), (1, 3, 5, 5), (3, 70, 4, 4)]
+
+
+class TestDepthwiseKernel:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("shape", DEPTHWISE_SHAPES)
+    def test_forward_equals_einsum_oracle(self, shape, k):
+        out, _, (x, weight, bias, _) = _depthwise_case(shape, k, np.float32)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, _depthwise_einsum_oracle(x, weight, bias, (k - 1) // 2))
+
+    @pytest.mark.parametrize("shape", DEPTHWISE_SHAPES)
+    def test_forward_k5_within_float32_rounding(self, shape):
+        out, _, (x, weight, bias, _) = _depthwise_case(shape, 5, np.float32)
+        want = _depthwise_einsum_oracle(x, weight, bias, 2)
+        # two orders of summing m = k*k + 1 float32 terms each err by at most
+        # m * eps * sum|term|, so they differ by at most twice that
+        terms = _depthwise_einsum_oracle(np.abs(x), np.abs(weight), np.abs(bias), 2)
+        bound = 2 * 26 * np.finfo(np.float32).eps * terms
+        assert np.all(np.abs(out - want) <= bound)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("shape", DEPTHWISE_SHAPES)
+    def test_input_grad_equals_scatter_oracle(self, shape, k):
+        _, gx, (_, weight, _, g) = _depthwise_case(shape, k, np.float32)
+        np.testing.assert_array_equal(gx, _depthwise_input_grad_oracle(g, weight, (k - 1) // 2))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_transposed_view_input(self, k):
+        out, gx, (x, weight, bias, g) = _depthwise_case((2, 5, 33, 20), k, np.float32,
+                                                         transposed=True)
+        assert not x.flags.c_contiguous
+        pad = (k - 1) // 2
+        np.testing.assert_array_equal(out, _depthwise_einsum_oracle(x, weight, bias, pad))
+        np.testing.assert_array_equal(gx, _depthwise_input_grad_oracle(g, weight, pad))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_float64_stays_float64(self, k):
+        out, gx, (x, weight, bias, g) = _depthwise_case((2, 7, 129, 129), k, np.float64)
+        assert out.dtype == gx.dtype == np.float64
+        pad = (k - 1) // 2
+        np.testing.assert_allclose(out, _depthwise_einsum_oracle(x, weight, bias, pad),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(gx, _depthwise_input_grad_oracle(g, weight, pad))
+
+
+class TestConv1x1:
+    @pytest.mark.parametrize("n,c_in,c_out,side", [(4, 1, 8, 32), (2, 24, 8, 16), (3, 16, 5, 7)])
+    def test_matches_im2col_path(self, n, c_in, c_out, side):
+        rng = np.random.default_rng(c_in)
+        x_np = rng.normal(size=(n, c_in, side, side)).astype(np.float32)
+        w_np = rng.normal(size=(c_out, c_in, 1, 1)).astype(np.float32)
+        b_np = rng.normal(size=c_out).astype(np.float32)
+        g = Tensor(rng.normal(size=(n, c_out, side, side)).astype(np.float32))
+
+        def run(fast):
+            x = Tensor(x_np, requires_grad=True)
+            w = Tensor(w_np, requires_grad=True)
+            b = Tensor(b_np, requires_grad=True)
+            if fast:
+                out = conv2d(x, Conv2dParams(w, b))
+            else:  # the general path: im2col + matmul + transpose + bias
+                cols = matmul(w.reshape(c_out, c_in), im2col(x, 1))
+                out = cols.reshape(c_out, n, side, side).transpose(1, 0, 2, 3)
+                out = out + b.reshape(1, c_out, 1, 1)
+            backward((out * g).sum())
+            return out.data, x.grad, w.grad, b.grad
+
+        fast, ref = run(True), run(False)
+        assert fast[0].dtype == np.float32
+        np.testing.assert_array_equal(fast[0], ref[0])
+        for got, want in zip(fast[1:], ref[1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_one_graph_node(self):
+        x = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32), requires_grad=True)
+        p = init_conv2d(2, 4, 1, Rng(0))
+        out = conv2d(x, p)
+        assert out._parents == (x, p.weight, p.bias)
 
 
 class TestSeparableConv2d:
