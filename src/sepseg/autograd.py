@@ -1,12 +1,21 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Tensors wrap a numpy array (float32 by default, float64 for gradient
-checking) in row-major layout. Every differentiable op records a backward
-closure; ``backward()`` walks the graph once in reverse topological order
-and accumulates gradients additively across fan-out.
+checking) in row-major layout. While recording is on (the default), every
+differentiable op with a parent that requires a gradient records a backward
+closure; inside ``no_grad()`` ops record nothing, so their outputs hold no
+parents, closures or captured inputs. Infer-mode model forwards run there.
+
+``backward()`` walks the graph once in reverse topological order and
+accumulates gradients additively across fan-out. It frees the graph as it
+goes: once a node's closure has run, the node drops its parents, its
+gradient and the closure, so only the leaves keep their ``grad``. A second
+``backward`` through a released graph raises ``RuntimeError``.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -123,9 +132,25 @@ def _wrap(x, dtype):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block record no graph; the previous state is restored
+    on exit, also when the block raises."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _make(data, parents, backward_fn):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -369,8 +394,16 @@ def im2col(x, k, stride=1, pad=0):
 # -- graph traversal ----------------------------------------------------------
 
 
+def _released(g):
+    raise RuntimeError("backward through a graph an earlier backward already released")
+
+
 def backward(root):
-    """Accumulate d(root)/d(node) into every graph ancestor's ``grad``."""
+    """Accumulate d(root)/d(node) into every graph ancestor's ``grad``.
+
+    Each interior node is released right after its closure runs: reverse
+    topological order has by then run every consumer, so its gradient is
+    complete and nothing reads it again."""
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.shape}")
     topo = []
@@ -389,9 +422,13 @@ def backward(root):
             if id(p) not in visited:
                 stack.append((p, False))
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node._backward = _released
+            node._parents = ()
+            node.grad = None
 
 
 # -- gradient checking --------------------------------------------------------

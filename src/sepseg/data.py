@@ -244,6 +244,8 @@ def load_checkpoint(path):
             if end > len(blob):
                 raise CheckpointError(f"truncated payload for entry {name!r}")
             arr = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"entry {name!r} holds a NaN or an Inf")
             out[name] = arr.astype(np.float32)
             off = end
     except struct.error as exc:

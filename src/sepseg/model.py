@@ -8,12 +8,13 @@ UNet baseline with the same channel schedule, plus the parameter auditor.
 
 from __future__ import annotations
 
+import contextlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Rng, ShapeError, Tensor, concat
+from .autograd import Rng, ShapeError, Tensor, concat, no_grad
 from .layers import (
     BatchNormParams,
     Conv2dParams,
@@ -199,6 +200,9 @@ def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None,
     """Full forward pass to per-pixel class probabilities.
 
     Input must be (N, in_channels, H, W) with H and W divisible by 16.
+    Infer mode records no autograd graph; train mode records one for
+    ``backward``. ``features`` (the block outputs by stage) is returned,
+    and filled, only with ``return_features``.
     """
     spec = model.spec
     n, c, h, w = x.shape
@@ -215,28 +219,31 @@ def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None,
         out = resnet_block_forward(
             model.block_specs[stage], model.blocks[stage], t, mode, rng, spec.dropout_rate
         )
-        features[stage] = out
+        if return_features:
+            features[stage] = out
         return out
 
-    skips = []
-    cur = x
-    for stage in ("enc1", "enc2", "enc3", "enc4"):
-        e = run(stage, cur)
-        skips.append(e)
-        cur = max_pool_2x2(e)
-    cur = run("bottleneck", cur)
+    # infer mode builds no graph: nothing is kept for a backward that never runs
+    with no_grad() if mode == "infer" else contextlib.nullcontext():
+        skips = []
+        cur = x
+        for stage in ("enc1", "enc2", "enc3", "enc4"):
+            e = run(stage, cur)
+            skips.append(e)
+            cur = max_pool_2x2(e)
+        cur = run("bottleneck", cur)
 
-    plan = spec.upsample_plan
-    for i, stage in enumerate(("dec1", "dec2", "dec3", "dec4")):
-        if plan[i] == "bilinear":
-            cur = bilinear_upsample_2x(cur)
-        else:
-            cur = pixel_shuffle(cur, 2)
-        cur = concat([cur, skips[3 - i]], axis=1)
-        cur = run(stage, cur)
+        plan = spec.upsample_plan
+        for i, stage in enumerate(("dec1", "dec2", "dec3", "dec4")):
+            if plan[i] == "bilinear":
+                cur = bilinear_upsample_2x(cur)
+            else:
+                cur = pixel_shuffle(cur, 2)
+            cur = concat([cur, skips.pop()], axis=1)
+            cur = run(stage, cur)
 
-    logits = conv2d(cur, model.head)
-    probs = softmax_channels(logits)
+        logits = conv2d(cur, model.head)
+        probs = softmax_channels(logits)
     if return_features:
         return probs, features
     return probs

@@ -12,6 +12,7 @@ from sepseg.autograd import (
     im2col,
     matmul,
     mul,
+    no_grad,
 )
 
 
@@ -190,6 +191,35 @@ def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
         backward(x + x)
+
+
+def test_no_grad_ops_record_nothing():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with no_grad():
+        y = (x * 2.0 + x).sum()
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    z = (x * 2.0).sum()
+    assert z.requires_grad and z._parents
+
+
+def test_nested_no_grad_restores_the_outer_state():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (x * 2.0).requires_grad
+    assert (x * 2.0).requires_grad
+
+
+def test_second_backward_raises_and_a_fresh_graph_works():
+    x = Tensor([2.0], requires_grad=True)
+    loss = (x * x).sum()
+    backward(loss)
+    with pytest.raises(RuntimeError, match="already released"):
+        backward(loss)
+    x.zero_grad()
+    backward((x * x).sum())
+    np.testing.assert_allclose(x.grad, [4.0])
 
 
 def test_grad_check_linear_is_exact():

@@ -1,4 +1,5 @@
-"""The names the benchmark's tracer wraps must exist in the program.
+"""The names the benchmark's tracer wraps must exist in the program, with
+the call signatures the tracer uses.
 
 ``perfbench/tracing.py`` replaces sepseg functions by identity and skips a
 name it cannot find, so its per-layer metrics for that name then read 0
@@ -9,6 +10,7 @@ rename or an inlined call fails here instead of blinding the trace.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 
 import sepseg.autograd as ag
 import sepseg.layers as layers
+import sepseg.model as model
 from sepseg.autograd import Rng, Tensor
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -66,3 +69,22 @@ def test_separable_conv_reaches_both_halves_through_module_globals(monkeypatch):
     p = layers.init_separable_conv2d(3, 4, 3, Rng(0))
     layers.separable_conv2d(Tensor(np.ones((1, 3, 8, 8), dtype=np.float32)), p)
     assert calls == ["_depthwise_conv2d", "conv2d"]
+
+
+def _positional_names(fn):
+    return [p.name for p in inspect.signature(fn).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+
+# the tracer calls these positionally: _make(data, parents, backward_fn),
+# backward(root), and reads forward's mode from args[2]
+def test_make_takes_data_parents_backward_fn_positionally():
+    assert _positional_names(ag._make) == ["data", "parents", "backward_fn"]
+
+
+def test_backward_takes_the_root_positionally():
+    assert _positional_names(ag.backward) == ["root"]
+
+
+def test_forward_takes_mode_third():
+    assert _positional_names(model.forward)[:3] == ["model", "x", "mode"]

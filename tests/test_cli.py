@@ -197,6 +197,22 @@ class TestInferEval:
         err = capsys.readouterr().err
         assert err.startswith("checkpoint mismatch:") and message in err
 
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_non_finite_checkpoint_exit_4(self, tmp_path, config_path, capsys, command):
+        model = build_model(ModelSpec(variant="proposed", base_depth=8), Rng(0, 0))
+        model.blocks["enc2"].conv1.pointwise_weight.data[0, 0, 0, 0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(model.named_parameters(), ckpt)
+        data_flag = "--input" if command == "infer" else "--data"
+        argv = [command, "--config", config_path, "--checkpoint", str(ckpt),
+                data_flag, "phantoms:4x32"]
+        if command == "infer":
+            argv += ["--out", str(tmp_path / "x")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint mismatch:") and "enc2.res.conv1.pw_weight" in err
+        assert not (tmp_path / "x").exists()
+
     def test_untrained_checkpoint_infers(self, tmp_path, config_path, untrained_ckpt):
         assert main(["infer", "--config", config_path, "--checkpoint", str(untrained_ckpt),
                      "--input", "phantoms:4x32", "--out", str(tmp_path / "x")]) == 0

@@ -266,6 +266,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"{len(tail)} trailing bytes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_by_name(self, tmp_path, value):
+        params = build_model(ModelSpec(base_depth=8), Rng(0, 0)).named_parameters()
+        names = list(params)
+        for name in (names[3], names[7]):  # the first one is named
+            params[name].data.flat[-1] = value
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, path)
+        with pytest.raises(CheckpointError, match=f"{names[3]}.*NaN or an Inf"):
+            load_checkpoint(path)
+
     def test_checkpoint_with_statistics_loads(self, tmp_path):
         model = build_model(ModelSpec(base_depth=8), Rng(0, 0))
         stats = model.named_statistics()

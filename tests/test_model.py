@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sepseg.autograd import Rng, ShapeError, Tensor, backward
+import sepseg.model as model_module
+from sepseg.autograd import Rng, ShapeError, Tensor, _released, backward
 from sepseg.layers import separable_param_count
 from sepseg.model import (
     ModelSpec,
@@ -68,6 +71,77 @@ class TestForward:
         x = Tensor(np.random.default_rng(2).normal(size=(1, 1, 32, 32)).astype(np.float32))
         out = forward(model, x, "train", rng=Rng(0, 1))
         assert np.all(np.isfinite(out.data))
+
+
+def _infer_memory(model, x):
+    """(bytes held after an infer forward, peak bytes during it, output bytes)."""
+    forward(model, x, "infer")  # warm-up: first-call allocations are not the forward's
+    tracemalloc.start()
+    try:
+        probs = forward(model, x, "infer")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held, peak, probs.data.nbytes
+
+
+def _batch(n=2, side=64):
+    return Tensor(np.random.default_rng(4).normal(size=(n, 1, side, side)).astype(np.float32))
+
+
+class TestGraphLifetime:
+    def test_infer_output_has_no_graph_and_train_still_records(self):
+        model = small_model()
+        x = _batch(1, 32)
+        probs = forward(model, x, "infer")
+        assert not probs.requires_grad and probs._parents == ()
+        probs = forward(model, x, "train", rng=Rng(0, 1))
+        assert probs.requires_grad and probs._parents
+
+    def test_forward_that_raises_leaves_recording_on(self, monkeypatch):
+        def broken(t):
+            raise RuntimeError("pooling failed")
+
+        monkeypatch.setattr(model_module, "max_pool_2x2", broken)
+        model = small_model()
+        with pytest.raises(RuntimeError, match="pooling failed"):
+            forward(model, _batch(1, 32), "infer")
+        w = model.head.weight
+        assert (w * 2.0).requires_grad
+
+    def test_backward_releases_every_interior_node(self):
+        from sepseg.metrics import ClassWeights, weighted_cross_entropy
+
+        model = small_model()
+        x = _batch(2, 32)
+        labels = np.random.default_rng(1).integers(0, 2, (2, 32, 32))
+        loss = weighted_cross_entropy(forward(model, x, "train", rng=Rng(0, 1)),
+                                      labels, ClassWeights([1.0, 1.0]))
+        seen, todo, interior = {id(loss)}, [loss], []
+        while todo:
+            node = todo.pop()
+            if node._backward is not None:
+                interior.append(node)
+            for p in node._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    todo.append(p)
+        backward(loss)
+        assert interior
+        for node in interior:
+            assert node._parents == () and node.grad is None and node._backward is _released
+        assert all(p.grad is not None for p in model.named_parameters().values())
+
+    def test_infer_forward_holds_only_its_output(self):
+        held, _, out_bytes = _infer_memory(small_model(), _batch())
+        assert held <= 2 * out_bytes
+
+    def test_proposed_infer_peak_below_baseline(self):
+        # the paper's footprint claim at equal depth: proposed peaks lower
+        x = _batch()
+        _, proposed, _ = _infer_memory(small_model("proposed"), x)
+        _, baseline, _ = _infer_memory(small_model("baseline-unet"), x)
+        assert proposed < baseline
 
 
 class TestResNetBlock:
