@@ -5,13 +5,20 @@ Standard and depthwise separable convolutions, batch normalization,
 dropout and the activations. All layers are differentiable through the
 autograd graph; parameters live in small dataclass containers.
 
+Every layer returns its input's dtype: constants and weights enter the
+arithmetic as scalars or arrays of the data's dtype, so a float32 model
+computes in float32 end to end and gradcheck's float64 stays float64.
+
 A separable convolution is a depthwise k x k pass, computed as
 cache-blocked shifted multiply-adds, and a 1x1 pointwise pass, computed as
 one matmul per image. Standard k x k convolutions (k > 1) go through
 im2col + matmul. Each kernel keeps the summation order of the plain
 formulation it replaced: the 1x1 path and the depthwise input gradient
 are bit-identical to it, and so is the depthwise forward at k = 1 and 3
-(see ``_depthwise_conv2d``).
+(see ``_depthwise_conv2d``). Bilinear 2x upsampling is closed form: each
+output is a fixed 0.25/0.75 pair of neighbours, computed on even and odd
+strided slices, and its adjoint gathers the same pairs without a scatter,
+in the order a scatter-add would sum them (see ``_upsample2x_axis_adjoint``).
 """
 
 from __future__ import annotations
@@ -296,49 +303,63 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
-def _linear_resample_coeffs(src, dst):
-    """Half-pixel-center source indices and weights for 1-D linear resize."""
-    s = (np.arange(dst) + 0.5) * (src / dst) - 0.5
-    s = np.clip(s, 0, src - 1)
-    i0 = np.floor(s).astype(np.intp)
-    t = s - i0
-    i1 = np.minimum(i0 + 1, src - 1)
-    return i0, i1, t
-
-
 def _upsample2x_axis(data, axis):
-    src = data.shape[axis]
-    i0, i1, t = _linear_resample_coeffs(src, 2 * src)
-    shape = [1] * data.ndim
-    shape[axis] = 2 * src
-    t = t.reshape(shape)
-    return np.take(data, i0, axis=axis) * (1 - t) + np.take(data, i1, axis=axis) * t
+    """Double one axis. With half-pixel centres, output 2m is
+    ``x[m-1]*.25 + x[m]*.75`` and output 2m+1 is ``x[m]*.75 + x[m+1]*.25``;
+    the clamped borders weigh their two taps 1 and 0. The border products
+    are kept, so the result equals the weighted two-tap gather bit for bit,
+    non-finite inputs included."""
+    shape = list(data.shape)
+    shape[axis] *= 2
+    out = np.empty(shape, dtype=data.dtype)
+    x, o = np.moveaxis(data, axis, 0), np.moveaxis(out, axis, 0)
+    even, odd = o[0::2], o[1::2]
+    np.multiply(x[:-1], 0.25, out=even[1:])
+    even[1:] += x[1:] * 0.75
+    np.multiply(x[:-1], 0.75, out=odd[:-1])
+    odd[:-1] += x[1:] * 0.25
+    even[0] = x[0] * 1.0 + x[min(1, len(x) - 1)] * 0.0
+    odd[-1] = x[-1] * 1.0 + x[-1] * 0.0
+    return out
 
 
-def _upsample2x_axis_adjoint(g, axis, src):
-    i0, i1, t = _linear_resample_coeffs(src, 2 * src)
-    shape = [1] * g.ndim
-    shape[axis] = 2 * src
-    t = t.reshape(shape)
-    out_shape = list(g.shape)
-    out_shape[axis] = src
-    gx = np.zeros(out_shape, dtype=g.dtype)
-    idx0 = [slice(None)] * g.ndim
-    idx0[axis] = i0
-    idx1 = [slice(None)] * g.ndim
-    idx1[axis] = i1
-    np.add.at(gx, tuple(idx0), g * (1 - t))
-    np.add.at(gx, tuple(idx1), g * t)
-    return gx
+def _upsample2x_axis_adjoint(g, axis):
+    """Transpose of ``_upsample2x_axis``: halve one axis of ``g``.
+
+    Each source m gathers its four taps in the order a scatter-add over
+    the output index would add them, first the left-tap weights and then
+    the right-tap weights, each pass by ascending output index:
+    ``((g[2m+1]*.75 + g[2m+2]*.25) + g[2m-1]*.25) + g[2m]*.75``, with the
+    border taps (weights 1 and 0) in their places.
+    """
+    shape = list(g.shape)
+    shape[axis] //= 2
+    out = np.empty(shape, dtype=g.dtype)
+    g, gx = np.moveaxis(g, axis, 0), np.moveaxis(out, axis, 0)
+    even, odd = g[0::2], g[1::2]
+    if len(gx) == 1:
+        gx[0] = even[0] * 1.0 + odd[0] * 1.0
+        gx[0] += even[0] * 0.0
+        gx[0] += odd[0] * 0.0
+        return out
+    gx[0] = even[0] * 1.0 + odd[0] * 0.75
+    gx[0] += even[1] * 0.25
+    np.multiply(odd[1:-1], 0.75, out=gx[1:-1])
+    gx[1:-1] += even[2:] * 0.25
+    gx[-1] = odd[-1] * 1.0
+    gx[1] += even[0] * 0.0
+    gx[1:] += odd[:-1] * 0.25
+    gx[1:] += even[1:] * 0.75
+    gx[-1] += odd[-1] * 0.0
+    return out
 
 
 def bilinear_upsample_2x(x: Tensor) -> Tensor:
     """2x bilinear upsampling with half-pixel centers and border clamping."""
-    n, c, h, w = x.shape
     out_data = _upsample2x_axis(_upsample2x_axis(x.data, 2), 3)
 
     def bwd(g):
-        _accum(x, _upsample2x_axis_adjoint(_upsample2x_axis_adjoint(g, 3, w), 2, h))
+        _accum(x, _upsample2x_axis_adjoint(_upsample2x_axis_adjoint(g, 3), 2))
 
     return _make(out_data, (x,), bwd)
 

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .autograd import Rng
-from .layers import _linear_resample_coeffs
 
 
 @dataclass
@@ -70,6 +69,16 @@ def histogram_equalize(x, bins: int = 256):
         return x.copy()
     mapped = np.floor((cdf - cdf_min) / (n - cdf_min) * (bins - 1) + 0.5)
     return (mapped[levels] / (bins - 1)).astype(np.float32)
+
+
+def _linear_resample_coeffs(src, dst):
+    """Half-pixel-center source indices and weights for 1-D linear resize."""
+    s = (np.arange(dst) + 0.5) * (src / dst) - 0.5
+    s = np.clip(s, 0, src - 1)
+    i0 = np.floor(s).astype(np.intp)
+    t = s - i0
+    i1 = np.minimum(i0 + 1, src - 1)
+    return i0, i1, t
 
 
 def resize_bilinear(x, target: int):

@@ -1,4 +1,5 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -34,3 +35,23 @@ def nifti_factory(tmp_path):
         return make_nifti(str(tmp_path / name), data, **kwargs)
 
     return factory
+
+
+@pytest.fixture
+def made_nodes(monkeypatch):
+    """Every Tensor that ``autograd._make`` returns while the test runs, in
+    creation order, as ``(tensor, linked)``; ``linked`` is whether the node
+    joined the graph when it was made (``backward`` unlinks it later)."""
+    import sepseg.autograd as ag
+
+    made, orig = [], ag._make
+
+    def recording_make(data, parents, backward_fn):
+        out = orig(data, parents, backward_fn)
+        made.append((out, bool(out._parents)))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sepseg") and getattr(module, "_make", None) is orig:
+            monkeypatch.setattr(module, "_make", recording_make)
+    return made

@@ -239,6 +239,23 @@ def test_grad_check_composite_ops():
     assert grad_check(f, x) <= 1e-4
 
 
+def test_grad_check_links_only_the_analytic_pass(made_nodes):
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    proj = Tensor(rng.normal(size=(2, 2)))
+
+    def f(t):
+        return ((t @ w).relu() * proj).sum()
+
+    x = Tensor(rng.normal(size=(2, 3)))
+    grad_check(f, x)
+    per_forward = 4  # matmul, relu, mul, sum
+    assert len(made_nodes) == per_forward * (1 + 2 * x.size)
+    assert [linked for _, linked in made_nodes] == [True] * per_forward + [False] * (
+        2 * x.size * per_forward
+    )
+
+
 def test_row_major_flat_index_property():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -4,6 +4,8 @@ import pytest
 from sepseg.autograd import Rng, ShapeError, Tensor, backward, im2col, matmul
 from sepseg.layers import (
     _depthwise_conv2d,
+    _upsample2x_axis,
+    _upsample2x_axis_adjoint,
     BatchNormParams,
     Conv2dParams,
     DropoutParams,
@@ -22,6 +24,7 @@ from sepseg.layers import (
     separable_param_count,
     softmax_channels,
 )
+from sepseg.preprocess import _linear_resample_coeffs
 
 
 def _conv_oracle(x, weight, bias, pad):
@@ -305,6 +308,94 @@ class TestBilinearUpsample:
         x = np.random.default_rng(1).normal(size=(2, 3, 5, 5))
         out = bilinear_upsample_2x(Tensor(x, dtype=np.float64)).data
         assert out.min() >= x.min() - 1e-12 and out.max() <= x.max() + 1e-12
+
+
+def _resample_oracle_coeffs(src, dtype):
+    """Source taps and right-tap weights of a 2x resize, the weights in ``dtype``."""
+    i0, i1, t = _linear_resample_coeffs(src, 2 * src)
+    return i0, i1, t.astype(dtype)
+
+
+def _upsample_oracle(data, axis):
+    """Gather formulation: take both taps, weigh them (1 - t) and t."""
+    src = data.shape[axis]
+    i0, i1, t = _resample_oracle_coeffs(src, data.dtype)
+    shape = [1] * data.ndim
+    shape[axis] = 2 * src
+    t = t.reshape(shape)
+    return np.take(data, i0, axis=axis) * (1 - t) + np.take(data, i1, axis=axis) * t
+
+
+def _upsample_adjoint_oracle(g, axis, src):
+    """Scatter formulation: ``np.add.at`` the (1 - t) weights, then the t weights."""
+    i0, i1, t = _resample_oracle_coeffs(src, g.dtype)
+    shape = [1] * g.ndim
+    shape[axis] = 2 * src
+    t = t.reshape(shape)
+    out_shape = list(g.shape)
+    out_shape[axis] = src
+    gx = np.zeros(out_shape, dtype=g.dtype)
+    idx0 = [slice(None)] * g.ndim
+    idx0[axis] = i0
+    idx1 = [slice(None)] * g.ndim
+    idx1[axis] = i1
+    np.add.at(gx, tuple(idx0), g * (1 - t))
+    np.add.at(gx, tuple(idx1), g * t)
+    return gx
+
+
+class TestBilinearClosedForm:
+    """The closed-form kernels equal the gather/scatter formulation bit for
+    bit, with the weights in the data's dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 16])
+    @pytest.mark.parametrize("axis", [2, 3])
+    def test_forward_and_adjoint_equal_oracle(self, dtype, s, axis):
+        rng = np.random.default_rng(s)
+        shape = [2, 3, 7, 5]  # h != w on the axis that is not resized
+        shape[axis] = s
+        x = rng.normal(size=shape).astype(dtype)
+        out = _upsample2x_axis(x, axis)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, _upsample_oracle(x, axis))
+        g = rng.normal(size=out.shape).astype(dtype)
+        gx = _upsample2x_axis_adjoint(g, axis)
+        assert gx.dtype == dtype
+        np.testing.assert_array_equal(gx, _upsample_adjoint_oracle(g, axis, s))
+
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    @pytest.mark.parametrize("axis", [2, 3])
+    def test_non_finite_values_propagate_as_in_oracle(self, s, axis):
+        shape = [1, 2, 4, 4]
+        shape[axis] = s
+        x = np.ones(shape, dtype=np.float32)
+        x[0, 0], x[0, 1].flat[-1] = np.inf, np.nan
+        shape[axis] *= 2
+        g = np.ones(shape, dtype=np.float32)
+        g[0, 0].flat[0], g[0, 1].flat[-1] = -np.inf, np.inf
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(_upsample2x_axis(x, axis), _upsample_oracle(x, axis))
+            np.testing.assert_array_equal(_upsample2x_axis_adjoint(g, axis),
+                                          _upsample_adjoint_oracle(g, axis, s))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_keeps_dtype(self, dtype):
+        x = Tensor(np.ones((1, 2, 3, 5), dtype=dtype), requires_grad=True)
+        out = bilinear_upsample_2x(x)
+        assert out.dtype == dtype
+        backward((out * Tensor(np.ones(out.shape, dtype=dtype))).sum())
+        assert x.grad.dtype == dtype
+
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (5, 4), (16, 9)])
+    def test_adjoint_identity(self, hw):
+        """<up(x), g> == <x, up^T(g)>."""
+        rng = np.random.default_rng(sum(hw))
+        x = rng.normal(size=(2, 3) + hw)
+        g = rng.normal(size=(2, 3, 2 * hw[0], 2 * hw[1]))
+        up = _upsample2x_axis(_upsample2x_axis(x, 2), 3)
+        upt = _upsample2x_axis_adjoint(_upsample2x_axis_adjoint(g, 3), 2)
+        np.testing.assert_allclose(np.vdot(up, g), np.vdot(x, upt), rtol=1e-12)
 
 
 class TestPixelShuffle:

@@ -144,6 +144,41 @@ class TestGraphLifetime:
         assert proposed < baseline
 
 
+def _train_step(model, x, made_nodes):
+    """Train forward, loss and backward; the dtypes of the nodes it made."""
+    from sepseg.metrics import ClassWeights, weighted_cross_entropy
+
+    labels = np.random.default_rng(1).integers(0, 2, (x.shape[0],) + x.shape[2:])
+    probs = forward(model, x, "train", rng=Rng(0, 1))
+    backward(weighted_cross_entropy(probs, labels, ClassWeights([1.0, 1.0])))
+    return probs, {t.dtype for t, _ in made_nodes}
+
+
+@pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
+class TestDtypeContract:
+    """Every layer returns its input's dtype, so a model computes end to end
+    in the dtype of its input and parameters."""
+
+    def test_float32_train_step_stays_float32(self, variant, made_nodes):
+        model = small_model(variant)
+        probs, dtypes = _train_step(model, _batch(2, 32), made_nodes)
+        assert made_nodes and dtypes == {np.dtype(np.float32)}
+        assert probs.dtype == np.float32
+        for name, p in model.named_parameters().items():
+            assert p.grad.dtype == np.float32, name
+
+    def test_float32_infer_probs(self, variant):
+        assert forward(small_model(variant), _batch(2, 32), "infer").dtype == np.float32
+
+    def test_float64_stays_float64(self, variant, made_nodes):
+        model = build_model(ModelSpec(variant=variant, base_depth=8), Rng(0, 0), np.float64)
+        x = Tensor(_batch(2, 32).data, dtype=np.float64)
+        probs, dtypes = _train_step(model, x, made_nodes)
+        assert dtypes == {np.dtype(np.float64)} and probs.dtype == np.float64
+        assert all(p.grad.dtype == np.float64 for p in model.named_parameters().values())
+        assert forward(model, x, "infer").dtype == np.float64
+
+
 class TestResNetBlock:
     def test_identity_path(self):
         spec = ResNetBlockSpec(4, 4)
