@@ -241,12 +241,26 @@ def div(a, b):
 
 
 def relu(x):
-    mask = x.data > 0
-
     def bwd(g):
-        _accum(x, g * mask)
+        _accum(x, g * (x.data > 0))
 
     return _make(np.maximum(x.data, 0), (x,), bwd)
+
+
+def add_relu(a, b):
+    """``relu(a + b)`` as one node, equal to the two ops bit for bit. The
+    sum is a fresh buffer that nothing else holds, so the ReLU runs in
+    place on it."""
+    _check_broadcast(a.shape, b.shape)
+    out = a.data + b.data
+    np.maximum(out, 0, out=out)
+
+    def bwd(g):
+        g = g * (out > 0)
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(g, b.shape))
+
+    return _make(out, (a, b), bwd)
 
 
 def log_clamped(x, floor=1e-12):

@@ -55,7 +55,10 @@ class SliceSample:
 
 
 def read_nifti(path) -> Volume:
-    """Read an uncompressed single-file NIfTI-1 volume into HU voxels."""
+    """Read an uncompressed single-file NIfTI-1 volume into HU voxels.
+
+    Every voxel is finite after scaling; a NaN or an Inf, stored or made by
+    the slope and intercept, raises ``NiftiError``."""
     with open(path, "rb") as fh:
         header = fh.read(348)
         if len(header) < 348:
@@ -87,6 +90,8 @@ def read_nifti(path) -> Volume:
     vox_offset = int(vox_offset)
     slope = struct.unpack_from(endian + "f", header, 112)[0]
     inter = struct.unpack_from(endian + "f", header, 116)[0]
+    if not (math.isfinite(slope) and math.isfinite(inter)):
+        raise NiftiError(f"scl_slope {slope} and scl_inter {inter} must be finite")
     if slope == 0.0:
         slope = 1.0
 
@@ -104,7 +109,12 @@ def read_nifti(path) -> Volume:
             f"voxels need {need} (vox_offset {vox_offset})"
         )
     raw = np.frombuffer(payload, dtype=dtype, count=count, offset=vox_offset)
-    voxels = (raw.astype(np.float32) * slope + inter).reshape(z, y, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        voxels = (raw.astype(np.float32) * slope + inter).reshape(z, y, x)
+    finite = np.isfinite(voxels).reshape(z, -1).all(axis=1)
+    if not finite.all():
+        raise NiftiError(f"slice {int(np.argmin(finite))} holds a non-finite voxel "
+                         "after slope/intercept scaling")
     return Volume(dims=(x, y, z), voxels=voxels)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Rng, Tensor, grad_check
+from .autograd import Rng, Tensor, add_relu, grad_check
 from .layers import (
     BatchNormParams,
     Conv2dParams,
@@ -121,6 +121,30 @@ def _case_batch_norm(rng):
     yield "beta", beta, lambda t: _score(batch_norm(Tensor(x), fresh(Tensor(gamma), t), "train"), proj)
 
 
+def _case_batch_norm_infer(rng):
+    x = rng.normal(size=(2, 3, 4, 4))
+    gamma = rng.normal(1.0, 0.2, 3)
+    beta = rng.normal(0.0, 0.2, 3)
+    p = init_batch_norm(3, dtype=np.float64)
+    p.running_mean = rng.normal(0.0, 0.5, 3)
+    p.running_var = rng.uniform(0.5, 2.0, 3)
+    proj = _proj(rng, (2, 3, 4, 4))
+
+    def with_affine(g, b):
+        p.gamma, p.beta = g, b
+        return p
+
+    yield "input", x, lambda t: _score(
+        batch_norm(t, with_affine(Tensor(gamma), Tensor(beta)), "infer"), proj
+    )
+    yield "gamma", gamma, lambda t: _score(
+        batch_norm(Tensor(x), with_affine(t, Tensor(beta)), "infer"), proj
+    )
+    yield "beta", beta, lambda t: _score(
+        batch_norm(Tensor(x), with_affine(Tensor(gamma), t), "infer"), proj
+    )
+
+
 def _case_max_pool(rng):
     x = rng.normal(size=(1, 2, 4, 4))
     proj = _proj(rng, (1, 2, 2, 2))
@@ -144,6 +168,16 @@ def _case_relu(rng):
     x = x + np.sign(x) * 0.05  # keep values away from the kink at 0
     proj = _proj(rng, (3, 5))
     yield "input", x, lambda t: _score(t.relu(), proj)
+
+
+def _case_add_relu(rng):
+    a = rng.normal(size=(2, 3, 4))
+    b = rng.normal(size=(2, 3, 4))
+    s = a + b
+    b = b + np.sign(s) * 0.05  # keep the sums away from the kink at 0
+    proj = _proj(rng, (2, 3, 4))
+    yield "a", a, lambda t: _score(add_relu(t, Tensor(b)), proj)
+    yield "b", b, lambda t: _score(add_relu(Tensor(a), t), proj)
 
 
 def _case_softmax(rng):
@@ -173,10 +207,12 @@ LAYER_CASES = {
     "conv2d": _case_conv2d,
     "separable_conv2d": _case_separable,
     "batch_norm": _case_batch_norm,
+    "batch_norm_infer": _case_batch_norm_infer,
     "max_pool_2x2": _case_max_pool,
     "bilinear_upsample_2x": _case_bilinear,
     "pixel_shuffle": _case_pixel_shuffle,
     "relu": _case_relu,
+    "add_relu": _case_add_relu,
     "softmax_channels": _case_softmax,
     "weighted_cross_entropy": _case_weighted_ce,
 }

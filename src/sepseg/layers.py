@@ -14,11 +14,18 @@ cache-blocked shifted multiply-adds, and a 1x1 pointwise pass, computed as
 one matmul per image. Standard k x k convolutions (k > 1) go through
 im2col + matmul. Each kernel keeps the summation order of the plain
 formulation it replaced: the 1x1 path and the depthwise input gradient
-are bit-identical to it, and so is the depthwise forward at k = 1 and 3
-(see ``_depthwise_conv2d``). Bilinear 2x upsampling is closed form: each
+are bit-identical to it, and so is the depthwise forward at k = 1 and 3,
+up to the sign of a zero (see ``_depthwise_conv2d``). Bilinear 2x upsampling is closed form: each
 output is a fixed 0.25/0.75 pair of neighbours, computed on even and odd
 strided slices, and its adjoint gathers the same pairs without a scatter,
 in the order a scatter-add would sum them (see ``_upsample2x_axis_adjoint``).
+
+A forward does only forward work. What only a backward reads (the max-pool
+argmax, a ReLU mask, a padded copy for the depthwise weight gradient) is
+computed inside the backward closure from the inputs the closure holds, so
+an infer-mode forward, which records no graph, never pays for it.
+Infer-mode batch norm is one per-channel multiply-add with the running
+statistics folded into a scale and a shift.
 """
 
 from __future__ import annotations
@@ -191,42 +198,49 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tens
     Forward and input gradient are k*k shifted multiply-adds into
     preallocated buffers, one (batch, channel-slice) block of about
     ``_DEPTHWISE_BLOCK`` elements at a time, so that each pass over a shift
-    reads and writes cache rather than memory.
+    reads and writes cache rather than memory. The forward copies each block
+    into a zero-bordered buffer of its own; only the backward pads the whole
+    input, for the weight gradient.
 
     The summation order is part of the contract, because training amplifies
-    last-ulp differences. The forward sums each kernel row left to right
-    into a row buffer, adds the row sums to a zeroed output in row order,
-    then adds the bias: this equals ``einsum("nchwij,cij->nchw")`` over the
-    sliding windows bit for bit at k = 1 and 3, and agrees to float rounding
-    at other k. The input gradient scatters the shifts in (i, j) order, and
-    the weight gradient stays one einsum over the sliding windows.
+    last-ulp differences. The forward sums each kernel row left to right,
+    row 0 in the output block itself and every later row in a row buffer
+    that it then adds to the output, in row order, then adds the bias: this
+    equals ``einsum("nchwij,cij->nchw")`` over the sliding windows value for
+    value at k = 1 and 3 (only the sign of a zero may differ), and agrees to
+    float rounding at other k. The input gradient scatters the shifts in
+    (i, j) order, and the weight gradient stays one einsum over the sliding
+    windows.
     """
     n, c, h, w = x.shape
     cw, one, k, _ = weight.shape
     if cw != c or one != 1:
         raise ShapeError(f"depthwise weight {weight.shape} incompatible with input channels {c}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     dw = weight.data.reshape(c, k, k)
-    ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     cb = min(c, max(1, _DEPTHWISE_BLOCK // (ho * wo)))
     blocks = [(b, slice(c0, c0 + cb)) for b in range(n) for c0 in range(0, c, cb)]
-    dtype = np.result_type(xp, dw)
+    dtype = np.result_type(x.data, dw)
     out_data = np.empty((n, c, ho, wo), dtype=dtype)
+    xpad = np.zeros((cb, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     row = np.empty((cb, ho, wo), dtype=dtype)
     tmp = np.empty_like(row)
     for b, cs in blocks:
-        xs, o = xp[b, cs], out_data[b, cs]
-        r, t = row[: o.shape[0]], tmp[: o.shape[0]]
-        o.fill(0)
+        o = out_data[b, cs]
+        xs, r, t = xpad[: o.shape[0]], row[: o.shape[0]], tmp[: o.shape[0]]
+        xs[:, pad : pad + h, pad : pad + w] = x.data[b, cs]
         for i in range(k):
-            np.multiply(xs[:, i : i + ho, :wo], dw[cs, i, 0, None, None], out=r)
+            ri = o if i == 0 else r
+            np.multiply(xs[:, i : i + ho, :wo], dw[cs, i, 0, None, None], out=ri)
             for j in range(1, k):
                 np.multiply(xs[:, i : i + ho, j : j + wo], dw[cs, i, j, None, None], out=t)
-                r += t
-            o += r
+                ri += t
+            if i:
+                o += r
         o += bias.data[cs, None, None]
 
     def bwd(g):
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
         _accum(weight, np.einsum("nchwij,nchw->cij", win, g).reshape(c, 1, k, k))
         _accum(bias, g.sum(axis=(0, 2, 3)))
@@ -273,26 +287,60 @@ def batch_norm(x: Tensor, p: BatchNormParams, mode: str) -> Tensor:
         )
         xhat = (x - mu) / ((var + p.eps) ** 0.5)
     elif mode == "infer":
-        rm = Tensor(p.running_mean.reshape(1, c, 1, 1))
-        rv = Tensor(p.running_var.reshape(1, c, 1, 1))
-        xhat = (x - rm) / ((rv + p.eps) ** 0.5)
+        return _batch_norm_infer(x, p)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return xhat * gamma + beta
 
 
+def _batch_norm_infer(x: Tensor, p: BatchNormParams) -> Tensor:
+    """Fixed-statistics batch norm as one per-channel multiply-add.
+
+    ``scale = gamma / sqrt(running_var + eps)`` and
+    ``shift = beta - running_mean * scale`` are folded once per call, so the
+    output costs one product and one in-place add. This rounds differently
+    from normalizing first and then scaling, by a few ulp of the output.
+    """
+    c = x.shape[1]
+    gamma, beta, mean = p.gamma, p.beta, p.running_mean
+    std = np.sqrt(p.running_var + p.eps)
+    scale = gamma.data / std
+    shift = beta.data - mean * scale
+    out_data = x.data * scale.reshape(1, c, 1, 1)
+    out_data += shift.reshape(1, c, 1, 1)
+
+    def bwd(g):
+        if x.requires_grad:
+            _accum(x, g * scale.reshape(1, c, 1, 1))
+        centred = x.data - mean.reshape(1, c, 1, 1)
+        _accum(gamma, (g * centred).sum(axis=(0, 2, 3)) / std)
+        _accum(beta, g.sum(axis=(0, 2, 3)))
+
+    return _make(out_data, (x, gamma, beta), bwd)
+
+
 def max_pool_2x2(x: Tensor) -> Tensor:
     """Non-overlapping 2x2 max; gradient routes to the argmax (ties: first
-    position in row-major scan)."""
+    position in row-major scan).
+
+    The forward is the elementwise max of the four strided views of the
+    input, with no window copy; NaN propagates as the argmax picks it. The
+    views are taken last to first because ``np.maximum`` returns its second
+    argument on a tie, so even a tie of -0.0 and +0.0 keeps the first
+    position's zero. Only the backward forms the windows and their argmax.
+    """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool_2x2 needs even spatial dims, got {h}x{w}")
     ho, wo = h // 2, w // 2
-    win = x.data.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, 4)
-    arg = win.argmax(axis=-1)
-    out_data = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    d = x.data
+    out_data = np.maximum(d[:, :, 1::2, 1::2], d[:, :, 1::2, 0::2])
+    np.maximum(out_data, d[:, :, 0::2, 1::2], out=out_data)
+    np.maximum(out_data, d[:, :, 0::2, 0::2], out=out_data)
 
     def bwd(g):
+        win = d.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, 4)
+        arg = win.argmax(axis=-1)
         gwin = np.zeros((n, c, ho, wo, 4), dtype=g.dtype)
         np.put_along_axis(gwin, arg[..., None], g[..., None], axis=-1)
         _accum(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Rng, ShapeError, Tensor, concat, no_grad
+from .autograd import Rng, ShapeError, Tensor, add_relu, concat, no_grad
 from .layers import (
     BatchNormParams,
     Conv2dParams,
@@ -192,7 +192,7 @@ def resnet_block_forward(
     if mode == "train" and dropout_rate > 0.0:
         a = dropout(a, DropoutParams(dropout_rate), mode, rng)
     s = h if params.proj is None else conv2d(h, params.proj)
-    return (a + s).relu()
+    return add_relu(a, s)
 
 
 def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None,

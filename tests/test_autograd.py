@@ -7,12 +7,14 @@ from sepseg.autograd import (
     ShapeError,
     Tensor,
     add,
+    add_relu,
     backward,
     grad_check,
     im2col,
     matmul,
     mul,
     no_grad,
+    relu,
 )
 
 
@@ -33,6 +35,42 @@ def test_add_backward_identity_jacobian():
     backward((a + b).sum())
     np.testing.assert_array_equal(a.grad, np.ones(3))
     np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
+def _add_relu_inputs(dtype, b_shape=None):
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(2, 5, 7, 6)).astype(dtype)
+    b = rng.normal(size=b_shape or a.shape).astype(dtype)
+    if b_shape is None:
+        b[0, 0] = -a[0, 0]  # exact zero sums, on the ReLU kink
+        a[1, 2, 3, 4], b[1, 3, 0, 0] = -0.0, np.nan
+    return a, b
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b_shape", [None, (1, 5, 1, 1)])
+def test_add_relu_equals_relu_of_add(dtype, b_shape):
+    a_np, b_np = _add_relu_inputs(dtype, b_shape)
+    g = np.random.default_rng(7).normal(size=a_np.shape).astype(dtype)
+
+    def run(fused):
+        a, b = Tensor(a_np, requires_grad=True), Tensor(b_np, requires_grad=True)
+        out = add_relu(a, b) if fused else relu(add(a, b))
+        backward((out * Tensor(g)).sum())
+        return out.data, a.grad, b.grad
+
+    for got, want in zip(run(True), run(False)):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_add_relu_is_one_node():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(-np.ones((2, 3)))
+    out = add_relu(a, b)
+    assert out._parents == (a, b)
+    with pytest.raises(ShapeError):
+        add_relu(a, Tensor(np.zeros((2, 4))))
 
 
 def test_shape_mismatch_names_both_shapes():

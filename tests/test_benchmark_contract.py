@@ -71,6 +71,30 @@ def test_separable_conv_reaches_both_halves_through_module_globals(monkeypatch):
     assert calls == ["_depthwise_conv2d", "conv2d"]
 
 
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_forward_reaches_batch_norm_and_max_pool_through_model_globals(monkeypatch, mode):
+    # the tracer's batch-norm and max-pool spans wrap these names in the
+    # model module; a fast path that bypassed them would read 0
+    calls = []
+
+    def spy(name):
+        fn = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, wrapper)
+
+    spy("batch_norm")
+    spy("max_pool_2x2")
+    m = model.build_model(model.ModelSpec(variant="proposed", base_depth=8), Rng(0, 0))
+    x = Tensor(np.random.default_rng(0).uniform(size=(2, 1, 16, 16)).astype(np.float32))
+    model.forward(m, x, mode, Rng(1, 0))
+    assert calls.count("batch_norm") == 9
+    assert calls.count("max_pool_2x2") == 4
+
+
 def _positional_names(fn):
     return [p.name for p in inspect.signature(fn).parameters.values()
             if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]

@@ -233,6 +233,36 @@ class TestInferEval:
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")
 
+    @staticmethod
+    def _nan_volume(path, slope=1.0):
+        data = np.zeros((2, 32, 32), dtype=np.float32)
+        if slope == 1.0:
+            data[1, 5, 5] = np.nan
+        make_nifti(str(path), data, datatype=16, slope=slope)
+
+    @pytest.mark.parametrize("slope", [1.0, float("inf")])
+    def test_non_finite_nifti_infer_exit_2(self, tmp_path, config_path, untrained_ckpt, capsys,
+                                           slope):
+        nii = tmp_path / "volume.nii"
+        self._nan_volume(nii, slope)
+        code = main(["infer", "--config", config_path, "--checkpoint", str(untrained_ckpt),
+                     "--input", str(nii), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert ("slice 1" if slope == 1.0 else "scl_slope") in err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_finite_nifti_eval_exit_2(self, tmp_path, config_path, untrained_ckpt, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        self._nan_volume(data / "volume-0.nii")
+        make_nifti(str(data / "segmentation-0.nii"), np.ones((2, 32, 32), dtype=np.int16))
+        code = main(["eval", "--config", config_path, "--checkpoint", str(untrained_ckpt),
+                     "--data", str(data)])
+        assert code == 2
+        assert "slice 1 holds a non-finite voxel" in capsys.readouterr().err
+
     def test_eval_prints_score_columns(self, tmp_path, config_path, trained, capsys):
         code = main(["eval", "--config", config_path,
                      "--checkpoint", str(trained / "best.ckpt"),

@@ -93,6 +93,29 @@ class TestNiftiReader:
         with pytest.raises(NiftiError, match="vox_offset"):
             read_nifti(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_voxel_names_its_slice(self, nifti_factory, value):
+        data = np.zeros((3, 4, 4), dtype=np.float32)
+        data[1, 2, 3] = value
+        data[2, 0, 0] = value
+        with pytest.raises(NiftiError, match="slice 1 holds a non-finite voxel"):
+            read_nifti(nifti_factory("v.nii", data, datatype=16))
+
+    @pytest.mark.parametrize("field,offset", [("scl_slope", 112), ("scl_inter", 116)])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scaling_rejected(self, nifti_factory, field, offset, value):
+        path = nifti_factory("v.nii", np.ones((2, 3, 3), dtype=np.int16))
+        self._patch(path, offset, "<f", value)
+        with pytest.raises(NiftiError, match=field):
+            read_nifti(path)
+
+    def test_scaling_overflow_rejected(self, nifti_factory):
+        data = np.zeros((2, 3, 3), dtype=np.int16)
+        data[1, 0, 0] = 30000
+        path = nifti_factory("v.nii", data, slope=3e38)
+        with pytest.raises(NiftiError, match="slice 1"):
+            read_nifti(path)
+
     def test_vox_offset_past_extension_accepted(self, nifti_factory):
         data = np.arange(18, dtype=np.int16).reshape(2, 3, 3)
         vol = read_nifti(nifti_factory("v.nii", data, vox_offset=400))

@@ -284,6 +284,120 @@ class TestMaxPool:
             max_pool_2x2(Tensor(np.zeros((1, 1, 3, 4))))
 
 
+def _max_pool_window_oracle(x, g):
+    """The seed's max pool: copy the 2x2 windows, take the argmax, gather
+    the output and scatter ``g`` back to the argmax."""
+    n, c, h, w = x.shape
+    ho, wo = h // 2, w // 2
+    win = x.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, 4)
+    arg = win.argmax(axis=-1)
+    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    gwin = np.zeros((n, c, ho, wo, 4), dtype=g.dtype)
+    np.put_along_axis(gwin, arg[..., None], g[..., None], axis=-1)
+    gx = gwin.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+    return out, gx
+
+
+def _max_pool_case(x):
+    """Forward and input gradient of ``max_pool_2x2`` next to the oracle's."""
+    g = np.random.default_rng(1).normal(size=(x.shape[0], x.shape[1], x.shape[2] // 2,
+                                              x.shape[3] // 2)).astype(x.dtype)
+    xt = Tensor(x, requires_grad=True)
+    out = max_pool_2x2(xt)
+    backward((out * Tensor(g)).sum())
+    return (out.data, xt.grad), _max_pool_window_oracle(x, g)
+
+
+class TestMaxPoolStridedViews:
+    """The strided-view forward and the backward's window argmax equal the
+    seed's window/argmax max pool bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 8), (1, 5, 4, 4), (3, 7, 16, 2), (4, 1, 2, 2)])
+    def test_forward_and_gradient_equal_oracle(self, dtype, shape):
+        x = np.random.default_rng(0).normal(size=shape).astype(dtype)
+        (out, gx), (want, want_gx) = _max_pool_case(x)
+        assert out.dtype == gx.dtype == dtype
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(gx, want_gx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ties_route_to_the_top_left(self, dtype):
+        x = np.full((2, 3, 4, 6), 1.5, dtype=dtype)
+        x[0, 1, 2:, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+        (out, gx), (want, want_gx) = _max_pool_case(x)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(gx, want_gx)
+        assert np.all(gx[:, :, 1::2, :] == 0) and np.all(gx[:, :, :, 1::2] == 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_in_a_window(self, dtype):
+        x = np.random.default_rng(2).normal(size=(1, 3, 4, 4)).astype(dtype)
+        x[0, 0, 1, 1] = np.nan
+        x[0, 2, 2, 3] = np.nan
+        x[0, 2, 3, 2] = np.nan  # two NaNs in one window: the first one wins
+        (out, gx), (want, want_gx) = _max_pool_case(x)
+        assert np.isnan(out[0, 0, 0, 0]) and np.isnan(out[0, 2, 1, 1])
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(gx, want_gx)
+
+    def test_transposed_view_input(self):
+        x = np.random.default_rng(3).normal(size=(2, 5, 10, 6)).astype(np.float32)
+        x = x.transpose(0, 1, 3, 2)  # a strided view, not C-contiguous
+        assert not x.flags.c_contiguous
+        (out, gx), (want, want_gx) = _max_pool_case(x)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(gx, want_gx)
+
+
+def _batch_norm_case(dtype, c=7):
+    rng = np.random.default_rng(4)
+    p = init_batch_norm(c, dtype=dtype)
+    p.gamma = Tensor(rng.normal(1.0, 0.3, c).astype(dtype), requires_grad=True)
+    p.beta = Tensor(rng.normal(0.0, 0.3, c).astype(dtype), requires_grad=True)
+    p.running_mean = rng.normal(0.5, 1.0, c).astype(dtype)
+    p.running_var = rng.uniform(0.2, 3.0, c).astype(dtype)
+    x = rng.normal(0.0, 2.0, size=(4, c, 16, 16)).astype(dtype)
+    return x, p
+
+
+class TestBatchNormInferFold:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_within_rounding_of_the_four_pass_formula(self, dtype):
+        x, p = _batch_norm_case(dtype)
+        out = batch_norm(Tensor(x), p, "infer").data
+        assert out.dtype == dtype
+        mean, var = (a.reshape(1, -1, 1, 1) for a in (p.running_mean, p.running_var))
+        gamma, beta = (a.data.reshape(1, -1, 1, 1) for a in (p.gamma, p.beta))
+        std = np.sqrt(var + dtype(p.eps))
+        want = (x - mean) / std * gamma + beta
+        # each formula takes at most m = 7 rounded steps from the inputs, each
+        # off by at most eps relative to the terms it combines, so the two
+        # differ by at most 2 * m * eps * sum|term|
+        terms = (np.abs(x) + np.abs(mean)) * np.abs(gamma) / std + np.abs(beta)
+        bound = 2 * 7 * np.finfo(dtype).eps * terms
+        assert np.all(np.abs(out - want) <= bound)
+
+    def test_one_graph_node_with_every_gradient(self):
+        x, p = _batch_norm_case(np.float64, c=3)
+        xt = Tensor(x, requires_grad=True)
+        out = batch_norm(xt, p, "infer")
+        assert out._parents == (xt, p.gamma, p.beta)
+        backward(out.sum())
+        scale = p.gamma.data / np.sqrt(p.running_var + p.eps)
+        np.testing.assert_allclose(xt.grad, np.broadcast_to(scale.reshape(1, 3, 1, 1), x.shape))
+        np.testing.assert_allclose(p.beta.grad, np.full(3, x.size / 3))
+        xhat = (x - p.running_mean.reshape(1, 3, 1, 1)) / np.sqrt(p.running_var + p.eps).reshape(1, 3, 1, 1)
+        np.testing.assert_allclose(p.gamma.grad, xhat.sum(axis=(0, 2, 3)))
+
+    def test_running_statistics_untouched(self):
+        x, p = _batch_norm_case(np.float32)
+        mean, var = p.running_mean.copy(), p.running_var.copy()
+        batch_norm(Tensor(x), p, "infer")
+        np.testing.assert_array_equal(p.running_mean, mean)
+        np.testing.assert_array_equal(p.running_var, var)
+
+
 class TestBilinearUpsample:
     def test_constant_preserved(self):
         x = Tensor(np.full((1, 2, 3, 3), 0.7))
