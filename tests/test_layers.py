@@ -384,10 +384,11 @@ class TestBatchNormInferFold:
         out = batch_norm(xt, p, "infer")
         assert out._parents == (xt, p.gamma, p.beta)
         backward(out.sum())
-        scale = p.gamma.data / np.sqrt(p.running_var + p.eps)
-        np.testing.assert_allclose(xt.grad, np.broadcast_to(scale.reshape(1, 3, 1, 1), x.shape))
+        std = np.sqrt(p.running_var + p.eps).reshape(1, 3, 1, 1)
+        gamma = p.gamma.data.reshape(1, 3, 1, 1)
+        np.testing.assert_allclose(xt.grad, np.broadcast_to(gamma / std, x.shape))
         np.testing.assert_allclose(p.beta.grad, np.full(3, x.size / 3))
-        xhat = (x - p.running_mean.reshape(1, 3, 1, 1)) / np.sqrt(p.running_var + p.eps).reshape(1, 3, 1, 1)
+        xhat = (x - p.running_mean.reshape(1, 3, 1, 1)) / std
         np.testing.assert_allclose(p.gamma.grad, xhat.sum(axis=(0, 2, 3)))
 
     def test_running_statistics_untouched(self):
