@@ -80,28 +80,13 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis, keepdims)
@@ -201,18 +186,6 @@ def add(a, b):
     return _make(a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b):
-    a = _wrap(a, None if not isinstance(b, Tensor) else b.dtype)
-    b = _wrap(b, a.dtype)
-    _check_broadcast(a.shape, b.shape)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(a.data - b.data, (a, b), bwd)
-
-
 def mul(a, b):
     a = _wrap(a, None if not isinstance(b, Tensor) else b.dtype)
     b = _wrap(b, a.dtype)
@@ -223,18 +196,6 @@ def mul(a, b):
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), bwd)
-
-
-def div(a, b):
-    a = _wrap(a, None if not isinstance(b, Tensor) else b.dtype)
-    b = _wrap(b, a.dtype)
-    _check_broadcast(a.shape, b.shape)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(a.data / b.data, (a, b), bwd)
 
 
 # -- elementwise unary ops --------------------------------------------------
@@ -271,16 +232,6 @@ def log_clamped(x, floor=1e-12):
         _accum(x, np.where(x.data >= floor, g / clamped, 0.0))
 
     return _make(np.log(clamped), (x,), bwd)
-
-
-def power(x, p):
-    if not np.isscalar(p):
-        raise ValueError("power supports scalar exponents only")
-
-    def bwd(g):
-        _accum(x, g * p * x.data ** (p - 1))
-
-    return _make(x.data**p, (x,), bwd)
 
 
 # -- reductions and structure -----------------------------------------------

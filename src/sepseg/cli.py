@@ -64,7 +64,7 @@ def _load_dataset(data_spec: str, cfg: RunConfig):
     volume-<id>.nii / segmentation-<id>.nii files."""
     phantoms = _phantoms(data_spec, cfg)
     if phantoms is not None:
-        return phantoms, True
+        return phantoms
     if not os.path.isdir(data_spec):
         raise DataError(f"data directory {data_spec!r} does not exist")
     volumes, masks = {}, {}
@@ -80,15 +80,15 @@ def _load_dataset(data_spec: str, cfg: RunConfig):
         masks[vid] = read_nifti(mask_path)
     if not volumes:
         raise DataError(f"no volume-*.nii files found in {data_spec!r}")
-    samples = build_slice_dataset(volumes, masks, cfg.window, resize=cfg.data.resize,
-                                  slice_filter="lesion")
-    return samples, False
+    return build_slice_dataset(volumes, masks, cfg.window, resize=cfg.data.resize,
+                               slice_filter="lesion")
 
 
 def cmd_train(args):
     cfg = _config(args)
-    samples, is_phantom = _load_dataset(args.data, cfg)
-    by_slice = is_phantom or len({s.volume_id for s in samples}) < cfg.data.folds
+    samples = _load_dataset(args.data, cfg)
+    # phantom slices share one volume id, and folds >= 2, so they split by slice
+    by_slice = len({s.volume_id for s in samples}) < cfg.data.folds
     split = split_slices if by_slice else kfold_split
     train_set, val_set = split(samples, cfg.data.folds, cfg.data.fold_index, cfg.train.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -102,6 +102,13 @@ def cmd_train(args):
     train(cfg.model, cfg.train, train_set, val_set, out_dir=args.out, log_fn=log)
     print(f"wrote best.ckpt and final.ckpt to {args.out}")
     return 0
+
+
+def _check_lesion_class(args, cfg):
+    """Reject a --lesion-class the model has no channel for, before any checkpoint or data."""
+    if not 0 <= args.lesion_class < cfg.model.num_classes:
+        raise ConfigError(f"--lesion-class {args.lesion_class} out of range for "
+                          f"{cfg.model.num_classes} classes")
 
 
 def _load_model_from_checkpoint(args, cfg):
@@ -121,6 +128,7 @@ def _input_images(path, cfg):
 
 def cmd_infer(args):
     cfg = _config(args)
+    _check_lesion_class(args, cfg)
     model = _load_model_from_checkpoint(args, cfg)
     masks = predict_masks(model, _input_images(args.input, cfg), 8, args.lesion_class)
     os.makedirs(args.out, exist_ok=True)
@@ -136,8 +144,9 @@ def cmd_infer(args):
 
 def cmd_eval(args):
     cfg = _config(args)
+    _check_lesion_class(args, cfg)
     model = _load_model_from_checkpoint(args, cfg)
-    samples, _ = _load_dataset(args.data, cfg)
+    samples = _load_dataset(args.data, cfg)
     rows, means = evaluate(model, samples, lesion_class=args.lesion_class)
     header = f"{'volume':<12} {'overlap':>8} {'dice':>8} {'jaccard':>8} " \
              f"{'overlap_g':>10} {'dice_g':>8} {'jaccard_g':>10}"

@@ -26,6 +26,9 @@ computed inside the backward closure from the inputs the closure holds, so
 an infer-mode forward, which records no graph, never pays for it.
 Infer-mode batch norm is one per-channel multiply-add with the running
 statistics folded into a scale and a shift.
+Train-mode batch norm is one node with the analytic backward, which keeps
+the order of the 14-node primitive graph it replaced and so its bits (see
+``_batch_norm_train``).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Rng, ShapeError, Tensor, _make, _accum, im2col, matmul, relu
+from .autograd import Rng, ShapeError, Tensor, _accum, _make, _unbroadcast, im2col, matmul, relu
 
 __all__ = [
     "Conv2dParams",
@@ -270,27 +273,58 @@ def separable_conv2d(x: Tensor, p: SeparableConv2dParams) -> Tensor:
 
 
 def batch_norm(x: Tensor, p: BatchNormParams, mode: str) -> Tensor:
-    n, c, h, w = x.shape
-    gamma = p.gamma.reshape(1, c, 1, 1)
-    beta = p.beta.reshape(1, c, 1, 1)
     if mode == "train":
-        if n * h * w < 2:
-            raise ValueError(f"batch_norm train mode needs N*H*W >= 2, got {n * h * w}")
-        mu = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
-        m = p.momentum
-        p.running_mean = ((1 - m) * p.running_mean + m * mu.data.reshape(c)).astype(
-            p.running_mean.dtype
-        )
-        p.running_var = ((1 - m) * p.running_var + m * var.data.reshape(c)).astype(
-            p.running_var.dtype
-        )
-        xhat = (x - mu) / ((var + p.eps) ** 0.5)
-    elif mode == "infer":
+        return _batch_norm_train(x, p)
+    if mode == "infer":
         return _batch_norm_infer(x, p)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return xhat * gamma + beta
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _batch_norm_train(x: Tensor, p: BatchNormParams) -> Tensor:
+    """Batch-statistics normalization as one node with the analytic backward
+    of Ioffe & Szegedy (arXiv 1502.03167, section 3); updates the running
+    statistics.
+
+    Training amplifies last-ulp differences, so the backward runs the chain
+    rule in the order and expression forms of the primitive graph it
+    replaced, and keeps its bits: every reduction goes through
+    ``_unbroadcast``, and x sums its x-hat term, then its variance term,
+    then the mean's term.
+    """
+    n, c, h, w = x.shape
+    if n * h * w < 2:
+        raise ValueError(f"batch_norm train mode needs N*H*W >= 2, got {n * h * w}")
+    stat = (1, c, 1, 1)
+    gamma, beta = p.gamma, p.beta
+    inv_count = np.asarray(1.0 / (n * h * w), dtype=x.dtype)
+    mu = x.data.sum(axis=(0, 2, 3), keepdims=True) * inv_count
+    d = x.data - mu
+    var = (d**2).sum(axis=(0, 2, 3), keepdims=True) * inv_count
+    m = p.momentum
+    p.running_mean = ((1 - m) * p.running_mean + m * mu.reshape(c)).astype(p.running_mean.dtype)
+    p.running_var = ((1 - m) * p.running_var + m * var.reshape(c)).astype(p.running_var.dtype)
+    ve = var + np.asarray(p.eps, dtype=x.dtype)
+    sd = ve**0.5
+    xhat = d / sd
+    out_data = xhat * gamma.data.reshape(stat) + beta.data.reshape(stat)
+
+    def bwd(g):
+        _accum(gamma, _unbroadcast(g * xhat, stat).reshape(c))
+        _accum(beta, _unbroadcast(g, stat).reshape(c))
+        if not x.requires_grad:
+            return
+        g_xhat = g * gamma.data.reshape(stat)
+        # div's -g*a/(b*b) and power's g*p*x**(p-1), as the primitive ops wrote them
+        g_sd = _unbroadcast(-g_xhat * d / (sd * sd), stat)
+        g_var = g_sd * 0.5 * ve ** (0.5 - 1)
+        g_d_xhat = g_xhat / sd
+        g_d_var = g_var * inv_count * 2 * d**1
+        g_mu = _unbroadcast(-g_d_xhat, stat) + _unbroadcast(-g_d_var, stat)
+        g_x = g_d_xhat + g_d_var
+        g_x += g_mu * inv_count
+        _accum(x, g_x)
+
+    return _make(out_data, (x, gamma, beta), bwd)
 
 
 def _batch_norm_infer(x: Tensor, p: BatchNormParams) -> Tensor:

@@ -35,13 +35,13 @@ from .layers import (
 from .metrics import probs_to_mask
 
 VARIANTS = ("proposed", "baseline-unet")
+DEPTH_CAP = 1024  # widest block: the bottleneck's 16 * base_depth channels
 
 
 @dataclass
 class ModelSpec:
     variant: str = "proposed"
     base_depth: int = 64
-    depth_cap: int = 1024
     num_classes: int = 2
     in_channels: int = 1
     kernel: int = 3
@@ -50,8 +50,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if not 1 <= self.base_depth * 16 <= self.depth_cap:
-            raise ValueError(f"base_depth * 16 must be in [16, {self.depth_cap}], "
+        if not 1 <= self.base_depth * 16 <= DEPTH_CAP:
+            raise ValueError(f"base_depth * 16 must be in [16, {DEPTH_CAP}], "
                              f"got {self.base_depth}")
         if self.variant == "proposed" and (2 * self.base_depth) % 4:
             raise ValueError("proposed variant needs 2*base_depth divisible by 4 for pixel shuffle")

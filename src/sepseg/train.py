@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be >= 0, got {self.lr}")
         if self.eval_every < 1:
             raise ValueError(f"eval interval must be >= 1, got {self.eval_every}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -105,7 +105,7 @@ class TestTrainCommand:
         assert code == 1
 
     @pytest.mark.parametrize("line", ["model.variant = foo", "folds = 1", "fold-index = 9",
-                                      "data.window-low = 300", "data.resize = 30"])
+                                      "data.window-low = 300", "data.resize = 30", "seed = -1"])
     def test_invalid_value_exit_1_names_its_line(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_CONFIG + line + "\n")
@@ -211,6 +211,20 @@ class TestInferEval:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("checkpoint mismatch:") and "enc2.res.conv1.pw_weight" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command,lesion_class", [("infer", 5), ("eval", -1), ("eval", 2)])
+    def test_lesion_class_out_of_range_exit_1(self, tmp_path, config_path, capsys, command,
+                                              lesion_class):
+        data_flag = "--input" if command == "infer" else "--data"
+        argv = [command, "--config", config_path, "--checkpoint", str(tmp_path / "none.ckpt"),
+                data_flag, "phantoms:4x32", "--lesion-class", str(lesion_class)]
+        if command == "infer":
+            argv += ["--out", str(tmp_path / "x")]
+        # the flag is checked first: the checkpoint it names does not exist
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"--lesion-class {lesion_class}" in err
         assert not (tmp_path / "x").exists()
 
     def test_untrained_checkpoint_infers(self, tmp_path, config_path, untrained_ckpt):

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from sepseg.autograd import Rng, ShapeError, Tensor, backward, im2col, matmul
+from sepseg.autograd import (
+    Rng,
+    ShapeError,
+    Tensor,
+    _accum,
+    _make,
+    _unbroadcast,
+    backward,
+    im2col,
+    matmul,
+)
 from sepseg.layers import (
     _depthwise_conv2d,
     _upsample2x_axis,
@@ -397,6 +407,128 @@ class TestBatchNormInferFold:
         batch_norm(Tensor(x), p, "infer")
         np.testing.assert_array_equal(p.running_mean, mean)
         np.testing.assert_array_equal(p.running_var, var)
+
+
+# the seed's sub, div and power, which the seed's train-mode batch norm
+# composed with the Tensor operators into 14 primitive nodes
+
+
+def _sub(a, b):
+    def bwd(g):
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(-g, b.shape))
+
+    return _make(a.data - b.data, (a, b), bwd)
+
+
+def _div(a, b):
+    def bwd(g):
+        _accum(a, _unbroadcast(g / b.data, a.shape))
+        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+
+    return _make(a.data / b.data, (a, b), bwd)
+
+
+def _power(x, p):
+    def bwd(g):
+        _accum(x, g * p * x.data ** (p - 1))
+
+    return _make(x.data**p, (x,), bwd)
+
+
+def _batch_norm_primitive_oracle(x, p, mode):
+    """The seed's train-mode batch norm, one primitive node per step."""
+    assert mode == "train"
+    n, c, h, w = x.shape
+    gamma = p.gamma.reshape(1, c, 1, 1)
+    beta = p.beta.reshape(1, c, 1, 1)
+    mu = x.mean(axis=(0, 2, 3), keepdims=True)
+    var = _power(_sub(x, mu), 2).mean(axis=(0, 2, 3), keepdims=True)
+    m = p.momentum
+    p.running_mean = ((1 - m) * p.running_mean + m * mu.data.reshape(c)).astype(
+        p.running_mean.dtype
+    )
+    p.running_var = ((1 - m) * p.running_var + m * var.data.reshape(c)).astype(
+        p.running_var.dtype
+    )
+    xhat = _div(_sub(x, mu), _power(var + p.eps, 0.5))
+    return xhat * gamma + beta
+
+
+def _batch_norm_train_run(norm, x, p, g, x_grad=True):
+    """Output, x/gamma/beta gradients and running statistics of one train
+    call of ``norm`` with upstream gradient ``g``."""
+    xt = Tensor(x, requires_grad=x_grad)
+    out = norm(xt, p, "train")
+    backward((out * Tensor(g)).sum())
+    return out.data, xt.grad, p.gamma.grad, p.beta.grad, p.running_mean, p.running_var
+
+
+def _assert_bits_equal(got, want):
+    """``array_equal`` that also tells -0.0 from +0.0."""
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestBatchNormTrainOneNode:
+    """Train-mode batch norm is one node whose output, gradients and running
+    statistics equal the seed's primitive graph bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 7, 16, 16), (1, 5, 8, 6), (3, 2, 1, 9), (2, 3, 5, 1)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_equals_primitive_graph(self, dtype, shape, x_grad):
+        rng = np.random.default_rng(8)
+        x = rng.normal(1.5, 2.0, size=shape).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        runs = []
+        for norm in (batch_norm, _batch_norm_primitive_oracle):
+            _, p = _batch_norm_case(dtype, c=shape[1])
+            runs.append(_batch_norm_train_run(norm, x, p, g, x_grad))
+        _assert_bits_equal(*runs)
+        assert (runs[0][1] is None) == (not x_grad)
+
+    def test_transposed_view_input(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 4, 10, 6)).astype(np.float32).transpose(0, 1, 3, 2)
+        assert not x.flags.c_contiguous
+        g = rng.normal(size=x.shape).astype(np.float32)
+        runs = []
+        for norm in (batch_norm, _batch_norm_primitive_oracle):
+            _, p = _batch_norm_case(np.float32, c=4)
+            runs.append(_batch_norm_train_run(norm, x, p, g))
+        _assert_bits_equal(*runs)
+
+    def test_one_graph_node(self, made_nodes):
+        x, p = _batch_norm_case(np.float32, c=3)
+        xt = Tensor(x, requires_grad=True)
+        out = batch_norm(xt, p, "train")
+        assert [t for t, _ in made_nodes] == [out]
+        assert out._parents == (xt, p.gamma, p.beta)
+
+    def test_model_train_step_equals_primitive_graph(self, monkeypatch):
+        from sepseg import model as model_module
+        from sepseg.metrics import ClassWeights, weighted_cross_entropy
+
+        x = Tensor(np.random.default_rng(4).normal(size=(2, 1, 32, 32)).astype(np.float32))
+        labels = np.random.default_rng(1).integers(0, 2, (2, 32, 32))
+
+        def step():
+            model = model_module.build_model(model_module.ModelSpec(base_depth=8), Rng(0, 0))
+            probs = model_module.forward(model, x, "train", rng=Rng(0, 1))
+            loss = weighted_cross_entropy(probs, labels, ClassWeights([1.0, 3.0]))
+            backward(loss)
+            grads = [t.grad for t in model.named_parameters().values()]
+            return [loss.data] + grads + list(model.named_statistics().values())
+
+        fused = step()
+        monkeypatch.setattr(model_module, "batch_norm", _batch_norm_primitive_oracle)
+        _assert_bits_equal(fused, step())
 
 
 class TestBilinearUpsample:

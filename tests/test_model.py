@@ -28,7 +28,7 @@ class TestModelSpec:
 
     def test_depth_cap_enforced(self):
         with pytest.raises(ValueError):
-            ModelSpec(base_depth=128, depth_cap=1024)
+            ModelSpec(base_depth=128)
 
     def test_upsample_plan(self):
         assert ModelSpec().upsample_plan == ("bilinear", "bilinear", "bilinear", "subpixel")
