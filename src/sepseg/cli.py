@@ -36,7 +36,7 @@ from .model import (
     predict_masks,
 )
 from .preprocess import prepare_slice
-from .train import LESION_CLASS, NumericError, kfold_split, split_slices, train, evaluate
+from .train import LESION_CLASS, NumericError, kfold_split, train, evaluate
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
@@ -87,10 +87,8 @@ def _load_dataset(data_spec: str, cfg: RunConfig):
 def cmd_train(args):
     cfg = _config(args)
     samples = _load_dataset(args.data, cfg)
-    # phantom slices share one volume id, and folds >= 2, so they split by slice
-    by_slice = len({s.volume_id for s in samples}) < cfg.data.folds
-    split = split_slices if by_slice else kfold_split
-    train_set, val_set = split(samples, cfg.data.folds, cfg.data.fold_index, cfg.train.seed)
+    train_set, val_set = kfold_split(samples, cfg.data.folds, cfg.data.fold_index,
+                                     cfg.train.seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.resolved"), "w") as fh:
         fh.write(render_config(cfg))

@@ -12,7 +12,6 @@ import numpy as np
 
 from .autograd import Rng, Tensor, add_relu, grad_check
 from .layers import (
-    BatchNormParams,
     Conv2dParams,
     SeparableConv2dParams,
     batch_norm,

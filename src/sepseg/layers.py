@@ -33,7 +33,7 @@ the order of the 14-node primitive graph it replaced and so its bits (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

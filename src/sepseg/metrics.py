@@ -19,11 +19,6 @@ class ConfusionCounts:
     ntp: int
     nfp: int
     nfn: int
-    ntn: int
-
-    @property
-    def truth_positives(self):
-        return self.ntp + self.nfn
 
 
 @dataclass
@@ -44,14 +39,13 @@ def confusion_counts(pred, truth) -> ConfusionCounts:
     ntp = int(np.count_nonzero(pred & truth))
     nfp = int(np.count_nonzero(pred & ~truth))
     nfn = int(np.count_nonzero(~pred & truth))
-    ntn = int(np.count_nonzero(~pred & ~truth))
-    return ConfusionCounts(ntp, nfp, nfn, ntn)
+    return ConfusionCounts(ntp, nfp, nfn)
 
 
 def overlap_score(pred, truth) -> float:
     """|A∩B| / (|A| + |B\\A|) with A = truth, B = pred; empty/empty -> 1."""
     c = confusion_counts(pred, truth)
-    denom = c.truth_positives + c.nfp
+    denom = c.ntp + c.nfn + c.nfp
     if denom == 0:
         return 1.0
     return c.ntp / denom

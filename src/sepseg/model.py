@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .metrics import probs_to_mask
 
 VARIANTS = ("proposed", "baseline-unet")
 DEPTH_CAP = 1024  # widest block: the bottleneck's 16 * base_depth channels
+IN_CHANNELS = 1  # one windowed CT slice per input
 
 
 @dataclass
@@ -43,7 +44,6 @@ class ModelSpec:
     variant: str = "proposed"
     base_depth: int = 64
     num_classes: int = 2
-    in_channels: int = 1
     kernel: int = 3
     dropout_rate: float = 0.05
 
@@ -73,7 +73,7 @@ class ModelSpec:
         sep = self.variant == "proposed"
         k = self.kernel
         stages = [
-            ("enc1", self.in_channels, b),
+            ("enc1", IN_CHANNELS, b),
             ("enc2", b, 2 * b),
             ("enc3", 2 * b, 4 * b),
             ("enc4", 4 * b, 8 * b),
@@ -199,15 +199,15 @@ def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None,
             return_features: bool = False):
     """Full forward pass to per-pixel class probabilities.
 
-    Input must be (N, in_channels, H, W) with H and W divisible by 16.
+    Input must be (N, IN_CHANNELS, H, W) with H and W divisible by 16.
     Infer mode records no autograd graph; train mode records one for
     ``backward``. ``features`` (the block outputs by stage) is returned,
     and filled, only with ``return_features``.
     """
     spec = model.spec
     n, c, h, w = x.shape
-    if c != spec.in_channels:
-        raise ShapeError(f"model expects {spec.in_channels} input channels, got {c}")
+    if c != IN_CHANNELS:
+        raise ShapeError(f"model expects {IN_CHANNELS} input channels, got {c}")
     if h % 16 or w % 16:
         raise ShapeError(
             f"input spatial size {h}x{w} must be divisible by 16 "

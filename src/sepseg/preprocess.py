@@ -160,13 +160,12 @@ def random_rotate(image, mask, spec: AugmentSpec, rng: Rng):
     return rotate_pair(image, mask, angle)
 
 
-def elastic_deform(image, mask, spec: AugmentSpec, rng: Rng, scale: float = None):
+def elastic_deform(image, mask, spec: AugmentSpec, rng: Rng):
     """Center zoom by s ~ U(1-z, 1+z) composed with a smooth random
     displacement field (Gaussian noise * alpha, blurred with sigma)."""
     h, w = image.shape
-    if scale is None:
-        z = spec.zoom_factor
-        scale = rng.uniform(1.0 - z, 1.0 + z)
+    z = spec.zoom_factor
+    scale = rng.uniform(1.0 - z, 1.0 + z)
     if spec.elastic_alpha > 0:
         noise_y = rng.normal(size=(h, w))
         noise_x = rng.normal(size=(h, w))

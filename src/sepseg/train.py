@@ -45,6 +45,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if not self.lr >= 0.0:
@@ -106,31 +108,22 @@ def clip_gradients(params, max_norm: float):
 
 
 def kfold_split(samples, folds: int, fold_index: int, seed: int):
-    """Volume-granularity split; validation fold selected by index.
+    """(train, validation) split; the validation fold is every ``folds``-th
+    group, from ``fold_index``, of a seeded shuffle of the sorted groups.
 
-    Deterministic given the seed; the union of all folds' validation
-    sets partitions the volumes.
+    A group is a volume, or a single slice when there are fewer volumes
+    than folds (phantom slices share one volume id). Deterministic given
+    the seed; over all fold indices the validation sets partition the
+    groups. Both lists keep the order of ``samples``.
     """
-    volume_ids = sorted({s.volume_id for s in samples})
-    if len(volume_ids) < folds:
-        raise ValueError(f"need at least {folds} volumes for {folds} folds, "
-                         f"got {len(volume_ids)}")
-    order = list(Rng(seed, 7).integers(0, 2**62, len(volume_ids)))
-    shuffled = [v for _, v in sorted(zip(order, volume_ids))]
-    val_ids = set(shuffled[fold_index::folds])
-    train = [s for s in samples if s.volume_id not in val_ids]
-    val = [s for s in samples if s.volume_id in val_ids]
-    return train, val
-
-
-def split_slices(samples, folds: int, fold_index: int, seed: int):
-    """Slice-granularity fallback split for single-volume datasets
-    (e.g. phantoms), same fold semantics as kfold_split."""
-    order = list(Rng(seed, 7).integers(0, 2**62, len(samples)))
-    shuffled = [s for _, s in sorted(zip(order, range(len(samples))))]
-    val_idx = set(shuffled[fold_index::folds])
-    train = [s for i, s in enumerate(samples) if i not in val_idx]
-    val = [s for i, s in enumerate(samples) if i in val_idx]
+    keys = [s.volume_id for s in samples]
+    if len(set(keys)) < folds:
+        keys = range(len(samples))
+    groups = sorted(set(keys))
+    order = list(Rng(seed, 7).integers(0, 2**62, len(groups)))
+    val_keys = set([g for _, g in sorted(zip(order, groups))][fold_index::folds])
+    train = [s for s, k in zip(samples, keys) if k not in val_keys]
+    val = [s for s, k in zip(samples, keys) if k in val_keys]
     return train, val
 
 
@@ -200,16 +193,29 @@ def _snapshot(model):
     return entries
 
 
+def _check_labels(samples, num_classes):
+    """Reject the first sample whose mask holds a label the model has no class for."""
+    for s in samples:
+        lo, hi = int(s.mask.min()), int(s.mask.max())
+        if lo < 0 or hi >= num_classes:
+            raise DataError(f"volume {s.volume_id!r} slice {s.slice_index}: mask label "
+                            f"{lo if lo < 0 else hi} outside [0, {num_classes})")
+
+
 def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
           out_dir=None, log_fn=None):
     """Run the optimization loop; returns (model, records, best).
 
     ``best`` is (iteration, val_dice, checkpoint entries). When ``out_dir``
     is given, best.ckpt / final.ckpt / run_log.csv / timing.txt are
-    written there.
+    written there. An empty split, or a mask label outside
+    ``[0, num_classes)``, raises DataError before the model is built.
     """
     if not train_set:
         raise DataError("training split is empty")
+    if not val_set:
+        raise DataError("validation split is empty")
+    _check_labels([*train_set, *val_set], model_spec.num_classes)
     aug_spec = AugmentSpec()
     rng = Rng(config.seed)
     model = build_model(model_spec, rng.substream(0))
@@ -243,9 +249,7 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
 
         if it % config.eval_every == 0 or it == config.iterations:
             train_dice, _ = _mean_dice(model, train_set, config.batch_size, LESION_CLASS)
-            val_dice, val_overlap = _mean_dice(
-                model, val_set if val_set else train_set, config.batch_size, LESION_CLASS,
-            )
+            val_dice, val_overlap = _mean_dice(model, val_set, config.batch_size, LESION_CLASS)
             rec = RunRecord(it, loss_val, train_dice, val_dice, val_overlap,
                             time.time() - start)
             records.append(rec)
@@ -253,9 +257,6 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
                 log_fn(rec)
             if best is None or val_dice > best[1]:
                 best = (it, val_dice, _snapshot(model))
-
-    if best is None:
-        best = (config.iterations, 0.0, _snapshot(model))
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from sepseg.autograd import Rng, _accum, _make
 from sepseg.cli import main
-from sepseg.config import ConfigError, RunConfig, parse_config, render_config
+from sepseg.config import KEYS, SECTIONS, ConfigError, RunConfig, parse_config, render_config
 from sepseg.data import save_checkpoint
 from sepseg.model import ModelSpec, build_model
 
@@ -67,6 +68,11 @@ class TestConfig:
         rendered = [line.split(" = ")[0] for line in render_config(RunConfig()).splitlines()]
         assert documented == rendered and len(rendered) == 16
 
+    def test_every_section_field_has_a_key(self):
+        for section, cls in SECTIONS.items():
+            keyed = {name for s, name in KEYS.values() if s == section}
+            assert {f.name for f in dataclasses.fields(cls)} == keyed, section
+
 
 class TestTrainCommand:
     def test_phantom_training_writes_outputs(self, tmp_path, config_path, capsys):
@@ -105,7 +111,8 @@ class TestTrainCommand:
         assert code == 1
 
     @pytest.mark.parametrize("line", ["model.variant = foo", "folds = 1", "fold-index = 9",
-                                      "data.window-low = 300", "data.resize = 30", "seed = -1"])
+                                      "data.window-low = 300", "data.resize = 30", "seed = -1",
+                                      "train.iterations = 0", "train.iterations = -3"])
     def test_invalid_value_exit_1_names_its_line(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_CONFIG + line + "\n")
@@ -114,6 +121,33 @@ class TestTrainCommand:
         assert code == 1
         lineno = len(SMALL_CONFIG.splitlines()) + 1
         assert f"line {lineno}: bad value for '{line.split()[0]}'" in capsys.readouterr().err
+
+    def test_empty_validation_fold_exit_2(self, tmp_path, capsys):
+        # 3 slices in 4 folds: the fourth fold holds no slice
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CONFIG + "fold-index = 3\n")
+        code = main(["train", "--config", str(cfg),
+                     "--data", "phantoms:3x32", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "validation split is empty" in err
+        assert not (tmp_path / "out" / "best.ckpt").exists()
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_mask_label_out_of_range_exit_2(self, tmp_path, config_path, nifti_factory, capsys,
+                                            label):
+        (tmp_path / "data").mkdir()
+        mask = np.zeros((3, 32, 32), dtype=np.int16)
+        mask[1, 8:16, 8:16] = 1
+        mask[2, 0, 0] = label
+        nifti_factory("data/volume-0.nii", np.zeros((3, 32, 32), dtype=np.int16))
+        nifti_factory("data/segmentation-0.nii", mask)
+        code = main(["train", "--config", config_path,
+                     "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert f"volume '0' slice 2: mask label {label} outside [0, 2)" in err
 
     @pytest.mark.parametrize("spec", ["phantoms:4x40", "phantoms:1x32", "phantoms:0x32"])
     def test_bad_phantom_spec_exit_2(self, tmp_path, config_path, capsys, spec):

@@ -1,0 +1,40 @@
+"""Every module-level import in ``src/sepseg`` is used by its module.
+
+No linter ships with the project, so this parses each module with ``ast``:
+an imported name counts as used when the module reads it as a name or
+lists it in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sepseg"
+
+
+def unused_imports(tree):
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in used)
+
+
+def test_detects_an_unused_import():
+    tree = ast.parse("import os\nfrom a import b, c as d\n__all__ = ['b']\n")
+    assert unused_imports(tree) == ["line 1: os", "line 2: d"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    assert unused_imports(ast.parse(path.read_text())) == []

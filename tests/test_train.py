@@ -14,7 +14,6 @@ from sepseg.train import (
     evaluate,
     kfold_split,
     run_log_lines,
-    split_slices,
     train,
 )
 
@@ -74,6 +73,28 @@ class _FakeSample:
         self.image = np.zeros((1, 4, 4), dtype=np.float32)
 
 
+def _volume_split_oracle(samples, folds, fold_index, seed):
+    """The volume-level split ``sepseg train`` used before one function
+    served both granularities."""
+    volume_ids = sorted({s.volume_id for s in samples})
+    order = list(Rng(seed, 7).integers(0, 2**62, len(volume_ids)))
+    shuffled = [v for _, v in sorted(zip(order, volume_ids))]
+    val_ids = set(shuffled[fold_index::folds])
+    train_set = [s for s in samples if s.volume_id not in val_ids]
+    val_set = [s for s in samples if s.volume_id in val_ids]
+    return train_set, val_set
+
+
+def _slice_split_oracle(samples, folds, fold_index, seed):
+    """The slice-level split ``sepseg train`` used with fewer volumes than folds."""
+    order = list(Rng(seed, 7).integers(0, 2**62, len(samples)))
+    shuffled = [s for _, s in sorted(zip(order, range(len(samples))))]
+    val_idx = set(shuffled[fold_index::folds])
+    train_set = [s for i, s in enumerate(samples) if i not in val_idx]
+    val_set = [s for i, s in enumerate(samples) if i in val_idx]
+    return train_set, val_set
+
+
 class TestKFold:
     def _samples(self, n_volumes=8, slices=3):
         return [_FakeSample(f"v{i}", j) for i in range(n_volumes) for j in range(slices)]
@@ -100,13 +121,35 @@ class TestKFold:
         assert sorted(all_val) == sorted({s.volume_id for s in samples})
 
     def test_too_few_volumes(self):
-        with pytest.raises(ValueError):
-            kfold_split(self._samples(3), 4, 0, seed=0)
+        # 3 volumes cannot fill 4 folds, so the 9 slices are split one by one
+        samples = self._samples(3)
+        all_val = []
+        for fold in range(4):
+            train_set, val_set = kfold_split(samples, 4, fold, seed=0)
+            assert len(train_set) + len(val_set) == len(samples)
+            assert not {id(s) for s in train_set} & {id(s) for s in val_set}
+            all_val.extend(id(s) for s in val_set)
+        assert sorted(all_val) == sorted(id(s) for s in samples)
+        assert {s.volume_id for s in val_set} & {s.volume_id for s in train_set}
 
     def test_slice_split_partition(self):
         samples = self._samples(1, slices=8)
-        train_set, val_set = split_slices(samples, 4, 0, seed=0)
+        train_set, val_set = kfold_split(samples, 4, 0, seed=0)
         assert len(train_set) == 6 and len(val_set) == 2
+
+    def test_matches_the_split_each_granularity_used_to_take(self):
+        for n_volumes in range(1, 12):
+            for slices in (1, 2, 5):
+                samples = self._samples(n_volumes, slices)
+                for folds in range(2, 6):
+                    by_slice = n_volumes < folds
+                    oracle = _slice_split_oracle if by_slice else _volume_split_oracle
+                    for fold_index in range(folds):
+                        for seed in range(6):
+                            args = (samples, folds, fold_index, seed)
+                            got, want = kfold_split(*args), oracle(*args)
+                            assert [[id(s) for s in part] for part in got] == \
+                                [[id(s) for s in part] for part in want], args[1:]
 
 
 def _phantom_setup(n=4, size=32):
@@ -121,7 +164,7 @@ class TestTrainingLoop:
         spec.dropout_rate = 0.0
         cfg = TrainConfig(iterations=3, batch_size=2, lr=0.0, seed=0, eval_every=3,
                           augment=False)
-        model, _, _ = train(spec, cfg, samples, [])
+        model, _, _ = train(spec, cfg, samples, samples[:1])
         reference = build_model(ModelSpec(variant="proposed", base_depth=8), Rng(0, 0))
         for (n1, p1), (n2, p2) in zip(model.named_parameters().items(),
                                       reference.named_parameters().items()):
@@ -131,8 +174,10 @@ class TestTrainingLoop:
     def test_identical_seeds_identical_logs(self):
         samples, spec = _phantom_setup()
         cfg = TrainConfig(iterations=4, batch_size=2, seed=7, eval_every=2)
-        _, rec_a, _ = train(ModelSpec(variant="proposed", base_depth=8), cfg, samples, [])
-        _, rec_b, _ = train(ModelSpec(variant="proposed", base_depth=8), cfg, samples, [])
+        _, rec_a, _ = train(ModelSpec(variant="proposed", base_depth=8), cfg, samples,
+                            samples[:1])
+        _, rec_b, _ = train(ModelSpec(variant="proposed", base_depth=8), cfg, samples,
+                            samples[:1])
         assert run_log_lines(rec_a) == run_log_lines(rec_b)
 
     def test_fixed_batch_loss_strictly_decreases(self):
