@@ -11,11 +11,18 @@ computes in float32 end to end and gradcheck's float64 stays float64.
 
 A separable convolution is a depthwise k x k pass, computed as
 cache-blocked shifted multiply-adds, and a 1x1 pointwise pass, computed as
-one matmul per image. Standard k x k convolutions (k > 1) go through
-im2col + matmul. Each kernel keeps the summation order of the plain
-formulation it replaced: the 1x1 path and the depthwise input gradient
-are bit-identical to it, and so is the depthwise forward at k = 1 and 3,
-up to the sign of a zero (see ``_depthwise_conv2d``). Bilinear 2x upsampling is closed form: each
+one matmul per image. The depthwise pass works on a flat layout: each
+channel's zero-bordered plane is one row of a buffer, so every kernel tap
+is one contiguous slice and every multiply-add one 2-D pass. Each output
+row then carries k - 1 wrapped-around values, which the bias add drops.
+Standard k x k convolutions (k > 1) go through im2col + matmul. Each
+kernel keeps the summation order of the plain formulation it replaced:
+the 1x1 path and the depthwise input gradient are bit-identical to it,
+and so is the depthwise forward at k = 1 and 3, up to the sign of a zero
+(see ``_depthwise_conv2d``). The depthwise input gradient gathers, for
+each input, all k*k taps from +0 in the order the scatter added the
+in-range ones; the extra taps are zeros, and a sum started at +0 is never
+-0, so they change no bit. Bilinear 2x upsampling is closed form: each
 output is a fixed 0.25/0.75 pair of neighbours, computed on even and odd
 strided slices, and its adjoint gathers the same pairs without a scatter,
 in the order a scatter-add would sum them (see ``_upsample2x_axis_adjoint``).
@@ -36,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autograd import Rng, ShapeError, Tensor, _accum, _make, _unbroadcast, im2col, matmul, relu
 
@@ -190,74 +198,87 @@ def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 # float32 elements in one (batch, channel-slice) block of the depthwise
-# kernel: 256 KiB, so the input, output and two scratch buffers of a block
-# stay in a 2 MiB per-core L2 cache across the k*k shifted passes
+# kernel: 256 KiB, so the input buffer and the three wide scratch buffers of
+# a block stay in a 2 MiB per-core L2 cache across the k*k shifted passes
 _DEPTHWISE_BLOCK = 1 << 16
 
 
 def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
     """Per-channel k x k convolution, stride 1, spatial size preserved.
 
-    Forward and input gradient are k*k shifted multiply-adds into
-    preallocated buffers, one (batch, channel-slice) block of about
-    ``_DEPTHWISE_BLOCK`` elements at a time, so that each pass over a shift
-    reads and writes cache rather than memory. The forward copies each block
-    into a zero-bordered buffer of its own; only the backward pads the whole
-    input, for the weight gradient.
+    Forward and input gradient are k*k shifted multiply-adds on a flat
+    layout, one (batch, channel-slice) block of about ``_DEPTHWISE_BLOCK``
+    elements at a time, so that each pass over a shift reads and writes
+    cache rather than memory. The forward copies each block into a
+    zero-bordered buffer of shape ``(channels, hp*wp + k - 1)``, each row one
+    channel's padded plane (``hp, wp = h + 2*pad, w + 2*pad``). Tap (i, j) is
+    then the contiguous span ``[i*wp + j : i*wp + j + ho*wp]``, and every
+    multiply and add is one 2-D pass. The last k - 1 values of each wide
+    output row wrap around into the next padded row; the bias add leaves
+    them out of the output. Only the backward pads the whole input, for the
+    weight gradient.
 
     The summation order is part of the contract, because training amplifies
     last-ulp differences. The forward sums each kernel row left to right,
-    row 0 in the output block itself and every later row in a row buffer
-    that it then adds to the output, in row order, then adds the bias: this
-    equals ``einsum("nchwij,cij->nchw")`` over the sliding windows value for
-    value at k = 1 and 3 (only the sign of a zero may differ), and agrees to
-    float rounding at other k. The input gradient scatters the shifts in
-    (i, j) order, and the weight gradient stays one einsum over the sliding
-    windows.
+    row 0 in the accumulator and every later row in a row buffer that it
+    then adds to it, in row order, then adds the bias: this equals
+    ``einsum("nchwij,cij->nchw")`` over the sliding windows value for value
+    at k = 1 and 3 (only the sign of a zero may differ), and agrees to float
+    rounding at other k. The input gradient is a gather with the bits of a
+    scatter of the shifts in (i, j) order. ``g`` is copied into a flat buffer
+    bordered by k - 1 zeros, of row width ``gw = wo + 2*(k - 1)``. Input
+    (y, x) reads tap (i, j) at padded position (y + pad - i + k - 1,
+    x + pad - j + k - 1), so tap (i, j) is span ``i*gw + j`` counted back
+    from offset ``(pad + k - 1)*(gw + 1)``. Each input sums all k*k taps
+    from +0 in (i, j) order, where the scatter summed only those in range.
+    With finite weights the others are zeros, and a sum started at +0 is
+    never -0 in round-to-nearest, so adding them changes no bit, not even
+    the sign of a zero. The weight gradient stays one einsum over the
+    sliding windows.
     """
     n, c, h, w = x.shape
     cw, one, k, _ = weight.shape
     if cw != c or one != 1:
         raise ShapeError(f"depthwise weight {weight.shape} incompatible with input channels {c}")
     dw = weight.data.reshape(c, k, k)
-    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-    cb = min(c, max(1, _DEPTHWISE_BLOCK // (ho * wo)))
-    blocks = [(b, slice(c0, c0 + cb)) for b in range(n) for c0 in range(0, c, cb)]
-    dtype = np.result_type(x.data, dw)
-    out_data = np.empty((n, c, ho, wo), dtype=dtype)
-    xpad = np.zeros((cb, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    row = np.empty((cb, ho, wo), dtype=dtype)
-    tmp = np.empty_like(row)
-    for b, cs in blocks:
-        o = out_data[b, cs]
-        xs, r, t = xpad[: o.shape[0]], row[: o.shape[0]], tmp[: o.shape[0]]
-        xs[:, pad : pad + h, pad : pad + w] = x.data[b, cs]
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho, wo = hp - k + 1, wp - k + 1
+    cb = min(c, max(1, _DEPTHWISE_BLOCK // (ho * wp)))
+    blocks = [(b, slice(c0, c0 + cb), min(cb, c - c0)) for b in range(n) for c0 in range(0, c, cb)]
+    out_data = np.empty((n, c, ho, wo), dtype=np.result_type(x.data, dw))
+    xf = np.zeros((cb, hp * wp + k - 1), dtype=x.dtype)
+    taps = sliding_window_view(xf, ho * wp, axis=1)
+    acc, row, tmp = np.empty((3, cb, ho * wp), dtype=out_data.dtype)
+    for b, cs, m in blocks:
+        xf[:m, : hp * wp].reshape(m, hp, wp)[:, pad : pad + h, pad : pad + w] = x.data[b, cs]
+        a, r, t = acc[:m], row[:m], tmp[:m]
         for i in range(k):
-            ri = o if i == 0 else r
-            np.multiply(xs[:, i : i + ho, :wo], dw[cs, i, 0, None, None], out=ri)
+            ri = np.multiply(taps[:m, i * wp], dw[cs, i, 0, None], out=r if i else a)
             for j in range(1, k):
-                np.multiply(xs[:, i : i + ho, j : j + wo], dw[cs, i, j, None, None], out=t)
-                ri += t
+                ri += np.multiply(taps[:m, i * wp + j], dw[cs, i, j, None], out=t)
             if i:
-                o += r
-        o += bias.data[cs, None, None]
+                a += r
+        np.add(a.reshape(m, ho, wp)[:, :, :wo], bias.data[cs, None, None], out=out_data[b, cs])
 
     def bwd(g):
         xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        win = sliding_window_view(xp, (k, k), axis=(2, 3))
         _accum(weight, np.einsum("nchwij,nchw->cij", win, g).reshape(c, 1, k, k))
         _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gpad = np.zeros_like(xp)
-            prod = np.empty((cb, ho, wo), dtype=np.result_type(g, dw))
-            for b, cs in blocks:
-                gs, gp = g[b, cs], gpad[b, cs]
-                pb = prod[: gs.shape[0]]
-                for i in range(k):
-                    for j in range(k):
-                        np.multiply(gs, dw[cs, i, j, None, None], out=pb)
-                        gp[:, i : i + ho, j : j + wo] += pb
-            _accum(x, gpad[:, :, pad : pad + h, pad : pad + w] if pad else gpad)
+            gh, gw, e = ho + 2 * k - 2, wo + 2 * k - 2, k - 1
+            gf = np.zeros((cb, gh * gw + e), dtype=g.dtype)
+            gtaps = sliding_window_view(gf, h * gw, axis=1)[:, (pad + e) * (gw + 1) :: -1]
+            gx, acc = np.empty((n, c, h, w), x.dtype), np.empty((cb, h * gw), x.dtype)
+            prod = np.empty((cb, h * gw), dtype=np.result_type(g, dw))
+            for b, cs, m in blocks:
+                gf[:m, : gh * gw].reshape(m, gh, gw)[:, e : e + ho, e : e + wo] = g[b, cs]
+                a = acc[:m]
+                a.fill(0)
+                for i, j in np.ndindex(k, k):
+                    a += np.multiply(gtaps[:m, i * gw + j], dw[cs, i, j, None], out=prod[:m])
+                gx[b, cs] = a.reshape(m, h, gw)[:, :, :w]
+            _accum(x, gx)
 
     return _make(out_data.astype(x.dtype, copy=False), (x, weight, bias), bwd)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from sepseg.autograd import (
     backward,
     im2col,
     matmul,
+    no_grad,
 )
 from sepseg.layers import (
+    _DEPTHWISE_BLOCK,
     _depthwise_conv2d,
     _upsample2x_axis,
     _upsample2x_axis_adjoint,
@@ -127,6 +131,81 @@ def _depthwise_case(shape, k, dtype, transposed=False):
 DEPTHWISE_SHAPES = [(2, 7, 129, 129), (4, 16, 64, 64), (1, 3, 5, 5), (3, 70, 4, 4)]
 
 
+def _depthwise_row_buffer_oracle(x, weight, bias, pad):
+    """The depthwise kernel before the flat layout: a row-buffer forward on
+    (channels, rows, columns) blocks sized by ho*wo, and an input gradient
+    that scatters the k*k shifts in (i, j) order into a zeroed padded copy."""
+    n, c, h, w = x.shape
+    k = weight.shape[2]
+    dw = weight.data.reshape(c, k, k)
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    cb = min(c, max(1, _DEPTHWISE_BLOCK // (ho * wo)))
+    blocks = [(b, slice(c0, c0 + cb)) for b in range(n) for c0 in range(0, c, cb)]
+    dtype = np.result_type(x.data, dw)
+    out_data = np.empty((n, c, ho, wo), dtype=dtype)
+    xpad = np.zeros((cb, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    row = np.empty((cb, ho, wo), dtype=dtype)
+    tmp = np.empty_like(row)
+    for b, cs in blocks:
+        o = out_data[b, cs]
+        xs, r, t = xpad[: o.shape[0]], row[: o.shape[0]], tmp[: o.shape[0]]
+        xs[:, pad : pad + h, pad : pad + w] = x.data[b, cs]
+        for i in range(k):
+            ri = o if i == 0 else r
+            np.multiply(xs[:, i : i + ho, :wo], dw[cs, i, 0, None, None], out=ri)
+            for j in range(1, k):
+                np.multiply(xs[:, i : i + ho, j : j + wo], dw[cs, i, j, None, None], out=t)
+                ri += t
+            if i:
+                o += r
+        o += bias.data[cs, None, None]
+
+    def bwd(g):
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        _accum(weight, np.einsum("nchwij,nchw->cij", win, g).reshape(c, 1, k, k))
+        _accum(bias, g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            gpad = np.zeros_like(xp)
+            prod = np.empty((cb, ho, wo), dtype=np.result_type(g, dw))
+            for b, cs in blocks:
+                gs, gp = g[b, cs], gpad[b, cs]
+                pb = prod[: gs.shape[0]]
+                for i in range(k):
+                    for j in range(k):
+                        np.multiply(gs, dw[cs, i, j, None, None], out=pb)
+                        gp[:, i : i + ho, j : j + wo] += pb
+            _accum(x, gpad[:, :, pad : pad + h, pad : pad + w] if pad else gpad)
+
+    return _make(out_data.astype(x.dtype, copy=False), (x, weight, bias), bwd)
+
+
+def _depthwise_run(conv, x, weight, bias, g, k):
+    """Output and input gradient of one call of ``conv`` with upstream ``g``."""
+    xt = Tensor(x, requires_grad=True)
+    out = conv(xt, Tensor(weight, requires_grad=True), Tensor(bias), (k - 1) // 2)
+    backward((out * Tensor(g)).sum())
+    return out.data, xt.grad
+
+
+def _assert_equal_to_row_buffer_kernel(x, weight, bias, g, k):
+    """Output and input gradient equal the row-buffer kernel's, NaN positions
+    and the sign bits of everything else included."""
+    runs = [_depthwise_run(conv, x, weight, bias, g, k)
+            for conv in (_depthwise_conv2d, _depthwise_row_buffer_oracle)]
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got) | np.isnan(got),
+                                      np.signbit(want) | np.isnan(want))
+
+
+# w = 1 and h = 1 planes; at k > 1, (2, 8, 128, 128) gets blocks of 3, 3 and
+# 2 channels from the wide span 128 * (127 + k), where the row-buffer kernel
+# took 4 and 4
+ROW_BUFFER_SHAPES = DEPTHWISE_SHAPES + [(2, 3, 9, 1), (2, 3, 1, 9), (2, 8, 128, 128)]
+
+
 class TestDepthwiseKernel:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("shape", DEPTHWISE_SHAPES)
@@ -168,6 +247,86 @@ class TestDepthwiseKernel:
         np.testing.assert_allclose(out, _depthwise_einsum_oracle(x, weight, bias, pad),
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(gx, _depthwise_input_grad_oracle(g, weight, pad))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("shape", ROW_BUFFER_SHAPES)
+    def test_equals_row_buffer_kernel(self, shape, k):
+        rng = np.random.default_rng(5)
+        x, g = (rng.normal(size=shape).astype(np.float32) for _ in range(2))
+        weight = rng.normal(size=(shape[1], 1, k, k)).astype(np.float32)
+        bias = rng.normal(size=shape[1]).astype(np.float32)
+        _assert_equal_to_row_buffer_kernel(x, weight, bias, g, k)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_non_finite_borders_stay_in_place(self, k):
+        # a wrapped column of the flat layout reads the next row's first
+        # column; a non-finite value there must reach only its own outputs
+        rng = np.random.default_rng(6)
+        shape = (2, 4, 11, 9)
+        x, g = (rng.normal(size=shape).astype(np.float32) for _ in range(2))
+        for a in (x, g):
+            a[:, 0, :, 0] = np.inf
+            a[:, 1, :, -1] = -np.inf
+            a[:, 2, -1, :] = np.nan
+            a[:, 3, 2, 0], a[:, 3, 5, -1], a[:, 3, -1, 4] = np.nan, np.inf, -np.inf
+        weight = rng.normal(size=(4, 1, k, k)).astype(np.float32)
+        bias = rng.normal(size=4).astype(np.float32)
+        with np.errstate(invalid="ignore"):
+            _assert_equal_to_row_buffer_kernel(x, weight, bias, g, k)
+            assert np.isnan(_depthwise_run(_depthwise_conv2d, x, weight, bias, g, k)[1]).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_signed_zeros_and_exact_cancellation(self, k, dtype):
+        # small integers sum exactly, so many outputs cancel to a zero whose
+        # sign only the summation order decides; over the -0.0 rows every
+        # term of channel 0, with its positive weights, is -0.0
+        rng = np.random.default_rng(7)
+        shape = (2, 3, 20, 7)
+        vals = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], dtype=dtype)
+        x, g = rng.choice(vals, size=shape), rng.choice(vals, size=shape)
+        x[:, :, :12] = g[:, :, :12] = -0.0
+        weight, bias = rng.choice(vals, size=(3, 1, k, k)), rng.choice(vals, size=3)
+        weight[0], bias[0] = np.abs(weight[0]) + 1, -0.0
+        _assert_equal_to_row_buffer_kernel(x, weight, bias, g, k)
+
+    def test_model_equals_row_buffer_kernel(self, monkeypatch):
+        from sepseg import layers as layers_module
+        from sepseg import model as model_module
+        from sepseg.metrics import ClassWeights, weighted_cross_entropy
+
+        x = Tensor(np.random.default_rng(4).normal(size=(4, 1, 64, 64)).astype(np.float32))
+        labels = np.random.default_rng(1).integers(0, 2, (4, 64, 64))
+
+        def step():
+            model = model_module.build_model(model_module.ModelSpec(base_depth=8), Rng(0, 0))
+            probs = model_module.forward(model, x, "train", rng=Rng(0, 1))
+            loss = weighted_cross_entropy(probs, labels, ClassWeights([1.0, 3.0]))
+            backward(loss)
+            grads = [t.grad for t in model.named_parameters().values()]
+            with no_grad():
+                infer = model_module.forward(model, x, "infer")
+            return [loss.data] + grads + list(model.named_statistics().values()) + [infer.data]
+
+        flat = step()
+        monkeypatch.setattr(layers_module, "_depthwise_conv2d", _depthwise_row_buffer_oracle)
+        _assert_bits_equal(flat, step())
+
+    def test_infer_footprint_is_the_output_and_four_block_buffers(self):
+        # padding the whole input, or a wide buffer for the whole output,
+        # would each add 8.5 MB to the peak
+        x = Tensor(np.ones((4, 8, 256, 256), dtype=np.float32))
+        weight = Tensor(np.ones((8, 1, 3, 3), dtype=np.float32))
+        bias = Tensor(np.zeros(8, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = _depthwise_conv2d(x, weight, bias, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = max(1, _DEPTHWISE_BLOCK // (256 * 258)) * (258 * 258 + 2) * 4
+        assert peak <= out.data.nbytes + 4 * block + (64 << 10)
 
 
 class TestConv1x1:
