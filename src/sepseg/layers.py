@@ -64,8 +64,6 @@ __all__ = [
     "dropout",
     "relu",
     "softmax_channels",
-    "conv2d_param_count",
-    "separable_param_count",
 ]
 
 
@@ -112,12 +110,10 @@ def _kaiming(rng: Rng, shape, fan_in, dtype):
     return Tensor(rng.normal(0.0, std, shape).astype(dtype), requires_grad=True)
 
 
-def init_conv2d(c_in, c_out, k, rng, stride=1, pad=None, dtype=np.float32):
-    if pad is None:
-        pad = (k - 1) // 2
+def init_conv2d(c_in, c_out, k, rng, dtype=np.float32):
     weight = _kaiming(rng, (c_out, c_in, k, k), c_in * k * k, dtype)
     bias = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
-    return Conv2dParams(weight, bias, stride, pad)
+    return Conv2dParams(weight, bias, 1, (k - 1) // 2)
 
 
 def init_separable_conv2d(c_in, c_out, k, rng, dtype=np.float32):
@@ -128,23 +124,13 @@ def init_separable_conv2d(c_in, c_out, k, rng, dtype=np.float32):
     return SeparableConv2dParams(dw, db, pw, pb)
 
 
-def init_batch_norm(c, dtype=np.float32, momentum=0.1, eps=1e-5):
+def init_batch_norm(c, dtype=np.float32):
     return BatchNormParams(
         gamma=Tensor(np.ones(c, dtype=dtype), requires_grad=True),
         beta=Tensor(np.zeros(c, dtype=dtype), requires_grad=True),
         running_mean=np.zeros(c, dtype=dtype),
         running_var=np.ones(c, dtype=dtype),
-        momentum=momentum,
-        eps=eps,
     )
-
-
-def conv2d_param_count(c_in, c_out, k):
-    return c_out * (c_in * k * k + 1)
-
-
-def separable_param_count(c_in, c_out, k):
-    return c_in * (k * k + 1) + c_out * (c_in + 1)
 
 
 # -- convolutions ---------------------------------------------------------------

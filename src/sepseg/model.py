@@ -195,14 +195,12 @@ def resnet_block_forward(
     return add_relu(a, s)
 
 
-def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None,
-            return_features: bool = False):
+def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None):
     """Full forward pass to per-pixel class probabilities.
 
     Input must be (N, IN_CHANNELS, H, W) with H and W divisible by 16.
     Infer mode records no autograd graph; train mode records one for
-    ``backward``. ``features`` (the block outputs by stage) is returned,
-    and filled, only with ``return_features``.
+    ``backward``.
     """
     spec = model.spec
     n, c, h, w = x.shape
@@ -213,15 +211,11 @@ def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None,
             f"input spatial size {h}x{w} must be divisible by 16 "
             "(four 2x pooling stages)"
         )
-    features = {}
 
     def run(stage, t):
-        out = resnet_block_forward(
+        return resnet_block_forward(
             model.block_specs[stage], model.blocks[stage], t, mode, rng, spec.dropout_rate
         )
-        if return_features:
-            features[stage] = out
-        return out
 
     # infer mode builds no graph: nothing is kept for a backward that never runs
     with no_grad() if mode == "infer" else contextlib.nullcontext():
@@ -242,11 +236,7 @@ def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None,
             cur = concat([cur, skips.pop()], axis=1)
             cur = run(stage, cur)
 
-        logits = conv2d(cur, model.head)
-        probs = softmax_channels(logits)
-    if return_features:
-        return probs, features
-    return probs
+        return softmax_channels(conv2d(cur, model.head))
 
 
 def predict_masks(model: Model, images, batch: int, lesion_class: int):

@@ -55,3 +55,19 @@ def made_nodes(monkeypatch):
         if name.startswith("sepseg") and getattr(module, "_make", None) is orig:
             monkeypatch.setattr(module, "_make", recording_make)
     return made
+
+
+@pytest.fixture
+def block_outputs(monkeypatch):
+    """Every residual block output that ``model.forward`` makes while the
+    test runs, in call order: enc1..enc4, bottleneck, dec1..dec4."""
+    import sepseg.model as model
+
+    outs, block = [], model.resnet_block_forward
+
+    def recording(*args):
+        outs.append(block(*args))
+        return outs[-1]
+
+    monkeypatch.setattr(model, "resnet_block_forward", recording)
+    return outs

@@ -5,7 +5,6 @@ import pytest
 
 import sepseg.model as model_module
 from sepseg.autograd import Rng, ShapeError, Tensor, _released, backward
-from sepseg.layers import separable_param_count
 from sepseg.model import (
     ModelSpec,
     ResNetBlockSpec,
@@ -47,11 +46,12 @@ class TestForward:
         assert probs.shape == (1, 2, 64, 64)
         assert np.abs(probs.data.sum(axis=1) - 1.0).max() <= 1e-5
 
-    def test_encoder_channel_schedule(self):
+    def test_encoder_channel_schedule(self, block_outputs):
         model = small_model()
         x = Tensor(np.zeros((1, 1, 64, 64), dtype=np.float32))
-        _, feats = forward(model, x, "infer", return_features=True)
-        got = [feats[k].shape[1] for k in ("enc1", "enc2", "enc3", "enc4", "bottleneck")]
+        forward(model, x, "infer")
+        # enc1..enc4 and the bottleneck run first
+        got = [out.shape[1] for out in block_outputs[:5]]
         assert got == [8, 16, 32, 64, 128]
 
     def test_indivisible_size_rejected(self):
@@ -179,6 +179,28 @@ class TestDtypeContract:
         assert forward(model, x, "infer").dtype == np.float64
 
 
+def _node_kinds(made_nodes):
+    """The op names (``conv2d``, ``concat``, ...) of the linked graph nodes."""
+    return {t._backward.__qualname__.split(".<locals>")[0] for t, linked in made_nodes if linked}
+
+
+@pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
+def test_gradcheck_covers_every_train_step_node(variant, made_nodes):
+    from sepseg.gradcheck import BLOCK_CASES, LAYER_CASES
+    from sepseg.metrics import ClassWeights, weighted_cross_entropy
+
+    x = _batch(2, 32)
+    labels = np.random.default_rng(1).integers(0, 2, (2, 32, 32))
+    probs = forward(small_model(variant), x, "train", rng=Rng(0, 1))
+    weighted_cross_entropy(probs, labels, ClassWeights([1.0, 1.0]))
+    step = _node_kinds(made_nodes)
+    made_nodes.clear()
+    for case in {**LAYER_CASES, **BLOCK_CASES}.values():
+        call, arrays = case(Rng(0))
+        call(*(Tensor(a, requires_grad=True) for a in arrays.values()))
+    assert step - _node_kinds(made_nodes) == set()
+
+
 class TestResNetBlock:
     def test_identity_path(self):
         spec = ResNetBlockSpec(4, 4)
@@ -213,7 +235,8 @@ class TestParameterAudit:
         by_name = {name: count for name, _, count in rows}
         # enc2 conv1 is the 64 -> 128 separable convolution
         enc2_conv1 = sum(c for n, c in by_name.items() if n.startswith("enc2.res.conv1."))
-        assert enc2_conv1 == separable_param_count(64, 128, 3) == 8960
+        # depthwise 64 * (9 + 1) plus pointwise 128 * (64 + 1)
+        assert enc2_conv1 == 8960
 
     def test_totals_and_ratio(self):
         _, proposed = count_parameters(build_model(ModelSpec(base_depth=64), Rng(0)))
