@@ -192,8 +192,10 @@ def mul(a, b):
     _check_broadcast(a.shape, b.shape)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), bwd)
 

@@ -28,7 +28,7 @@ strided slices, and its adjoint gathers the same pairs without a scatter,
 in the order a scatter-add would sum them (see ``_upsample2x_axis_adjoint``).
 
 A forward does only forward work. What only a backward reads (the max-pool
-argmax, a ReLU mask, a padded copy for the depthwise weight gradient) is
+routing, a ReLU mask, a padded copy for the depthwise weight gradient) is
 computed inside the backward closure from the inputs the closure holds, so
 an infer-mode forward, which records no graph, never pays for it.
 Infer-mode batch norm is one per-channel multiply-add with the running
@@ -247,7 +247,8 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tens
         np.add(a.reshape(m, ho, wp)[:, :, :wo], bias.data[cs, None, None], out=out_data[b, cs])
 
     def bwd(g):
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x.data
         win = sliding_window_view(xp, (k, k), axis=(2, 3))
         _accum(weight, np.einsum("nchwij,nchw->cij", win, g).reshape(c, 1, k, k))
         _accum(bias, g.sum(axis=(0, 2, 3)))
@@ -368,7 +369,10 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     input, with no window copy; NaN propagates as the argmax picks it. The
     views are taken last to first because ``np.maximum`` returns its second
     argument on a tie, so even a tie of -0.0 and +0.0 keeps the first
-    position's zero. Only the backward forms the windows and their argmax.
+    position's zero. The backward goes through the same views in row-major
+    order and hands each output's gradient to the first view that equals the
+    output or is NaN, which are the argmax's rules, again with no window
+    copy.
     """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
@@ -380,14 +384,14 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     np.maximum(out_data, d[:, :, 0::2, 0::2], out=out_data)
 
     def bwd(g):
-        win = d.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, 4)
-        arg = win.argmax(axis=-1)
-        gwin = np.zeros((n, c, ho, wo, 4), dtype=g.dtype)
-        np.put_along_axis(gwin, arg[..., None], g[..., None], axis=-1)
-        _accum(
-            x,
-            gwin.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w),
-        )
+        gx = np.zeros((n, c, h, w), dtype=g.dtype)
+        free = np.ones((n, c, ho, wo), dtype=bool)
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            v = d[:, :, a::2, b::2]
+            hit = free & ((v == out_data) | np.isnan(v))
+            np.copyto(gx[:, :, a::2, b::2], g, where=hit)
+            free &= ~hit
+        _accum(x, gx)
 
     return _make(out_data, (x,), bwd)
 

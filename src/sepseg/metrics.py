@@ -88,12 +88,28 @@ def weighted_cross_entropy(probs: Tensor, labels, weights: ClassWeights) -> Tens
 
 
 def probs_to_mask(probs, lesion_class: int):
-    """Per-pixel argmax == lesion_class; ties break toward the lower index."""
+    """Per-pixel argmax == lesion_class, by the argmax's rules: on a tie the
+    lower index wins, and the first NaN wins.
+
+    One compare per other channel instead of an argmax over the channel
+    axis: the lesion channel must beat every lower channel (be greater, or
+    be NaN where that channel is not) and lose to no higher one (be at least
+    as great, or be NaN).
+    """
     data = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
     c = data.shape[1]
     if not 0 <= lesion_class < c:
         raise ValueError(f"lesion class {lesion_class} out of range for {c} classes")
-    return (data.argmax(axis=1) == lesion_class).astype(np.uint8)
+    v = data[:, lesion_class]
+    nan = np.isnan(v)
+    mask = np.ones(v.shape, dtype=bool)
+    for ch in range(c):
+        u = data[:, ch]
+        if ch < lesion_class:
+            mask &= (v > u) | (nan & ~np.isnan(u))
+        elif ch > lesion_class:
+            mask &= (v >= u) | nan
+    return mask.astype(np.uint8)
 
 
 def inverse_frequency_weights(labels_iter, num_classes, clamp=(0.1, 10.0)) -> ClassWeights:

@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/sepseg`` is used by its module.
+"""Every module-level import in ``src/sepseg`` is used by its module, and
+the package loads nothing beyond numpy and the standard library.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name counts as used when the module reads it as a name or
@@ -6,6 +7,9 @@ lists it in ``__all__``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,18 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_cli_runs_without_scipy():
+    code = (
+        "import sys\n"
+        "from sepseg.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert scipy_modules() == [], scipy_modules()\n"
+        "assert main(['params', '--compare', '--base-depth', '8']) == 0\n"
+        "assert scipy_modules() == [], scipy_modules()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -144,6 +144,18 @@ class TestProbsToMask:
         with pytest.raises(ValueError):
             probs_to_mask(np.zeros((1, 2, 2, 2)), 5)
 
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_matches_argmax_with_ties_and_nans(self, c):
+        rng = np.random.default_rng(c)
+        # few distinct values, so most pixels hold ties; a fifth are NaN
+        probs = rng.integers(0, 3, size=(3, c, 8, 8)).astype(np.float32) / 2
+        probs[rng.uniform(size=probs.shape) < 0.2] = np.nan
+        probs[:, :, 0, 0] = [np.nan] * c  # all NaN: channel 0 wins
+        probs[:, :, 0, 1] = [-0.0, 0.0, -0.0][:c]  # signed zeros tie
+        for lesion in range(c):
+            want = (np.argmax(probs, axis=1) == lesion).astype(np.uint8)
+            np.testing.assert_array_equal(probs_to_mask(probs, lesion), want)
+
 
 class TestClassWeights:
     def test_positive_required(self):

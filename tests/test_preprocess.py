@@ -7,6 +7,7 @@ from sepseg.preprocess import (
     WindowSpec,
     augment_pair,
     elastic_deform,
+    gaussian_filter,
     histogram_equalize,
     random_rotate,
     resize_bilinear,
@@ -140,13 +141,24 @@ class TestElasticDeform:
         assert set(np.unique(out_mask)) <= {0, 1}
 
     def test_heavy_smoothing_is_near_rigid(self):
-        from scipy.ndimage import gaussian_filter
-
         spec = AugmentSpec(elastic_alpha=5.0, elastic_sigma=1000.0)
         rng = Rng(0, 8)
         noise = rng.normal(size=(32, 32))
         field = gaussian_filter(noise, spec.elastic_sigma) * spec.elastic_alpha
         assert np.abs(field - field.mean()).max() < 0.01 * spec.elastic_alpha
+
+    @pytest.mark.parametrize("sigma", [0.5, 1, 4, 0])
+    @pytest.mark.parametrize(
+        "shape",
+        [(64, 64), (32, 32), (16, 16), (256, 256), (512, 512), (48, 80), (17, 5), (3, 40), (1, 1)],
+        ids=lambda s: f"{s[0]}x{s[1]}",
+    )
+    def test_gaussian_filter_matches_ndimage_bits(self, shape, sigma):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        noise = Rng(0, 9).normal(size=shape)
+        np.testing.assert_array_equal(
+            gaussian_filter(noise, sigma), ndimage.gaussian_filter(noise, sigma)
+        )
 
     def test_zoom_factor_validation(self):
         with pytest.raises(ValueError):
