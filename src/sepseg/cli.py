@@ -36,7 +36,7 @@ from .model import (
     predict_masks,
 )
 from .preprocess import prepare_slice
-from .train import LESION_CLASS, NumericError, kfold_split, train, evaluate
+from .train import NumericError, kfold_split, train, evaluate
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
@@ -81,7 +81,7 @@ def _load_dataset(data_spec: str, cfg: RunConfig):
     if not volumes:
         raise DataError(f"no volume-*.nii files found in {data_spec!r}")
     return build_slice_dataset(volumes, masks, cfg.window, resize=cfg.data.resize,
-                               slice_filter="lesion")
+                               lesion_class=cfg.model.lesion_class)
 
 
 def cmd_train(args):
@@ -102,11 +102,15 @@ def cmd_train(args):
     return 0
 
 
-def _check_lesion_class(args, cfg):
-    """Reject a --lesion-class the model has no channel for, before any checkpoint or data."""
+def _lesion_class(args, cfg):
+    """--lesion-class, by default the model's last class; one the model has
+    no channel for is rejected before any checkpoint or data is read."""
+    if args.lesion_class is None:
+        return cfg.model.lesion_class
     if not 0 <= args.lesion_class < cfg.model.num_classes:
         raise ConfigError(f"--lesion-class {args.lesion_class} out of range for "
                           f"{cfg.model.num_classes} classes")
+    return args.lesion_class
 
 
 def _load_model_from_checkpoint(args, cfg):
@@ -126,9 +130,9 @@ def _input_images(path, cfg):
 
 def cmd_infer(args):
     cfg = _config(args)
-    _check_lesion_class(args, cfg)
+    lesion_class = _lesion_class(args, cfg)
     model = _load_model_from_checkpoint(args, cfg)
-    masks = predict_masks(model, _input_images(args.input, cfg), 8, args.lesion_class)
+    masks = predict_masks(model, _input_images(args.input, cfg), 8, lesion_class)
     os.makedirs(args.out, exist_ok=True)
     for i, mask in enumerate(masks):
         write_pgm(mask, os.path.join(args.out, f"slice_{i:04d}.pgm"))
@@ -142,10 +146,10 @@ def cmd_infer(args):
 
 def cmd_eval(args):
     cfg = _config(args)
-    _check_lesion_class(args, cfg)
+    lesion_class = _lesion_class(args, cfg)
     model = _load_model_from_checkpoint(args, cfg)
     samples = _load_dataset(args.data, cfg)
-    rows, means = evaluate(model, samples, lesion_class=args.lesion_class)
+    rows, means = evaluate(model, samples, lesion_class=lesion_class)
     header = f"{'volume':<12} {'overlap':>8} {'dice':>8} {'jaccard':>8} " \
              f"{'overlap_g':>10} {'dice_g':>8} {'jaccard_g':>10}"
     print(header)
@@ -226,14 +230,16 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help=".nii volume or phantoms:NxS")
     p.add_argument("--out", required=True)
-    p.add_argument("--lesion-class", type=int, default=LESION_CLASS)
+    p.add_argument("--lesion-class", type=int,
+                   help="class to segment (default: the last, model.num-classes - 1)")
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("eval", help="score a checkpoint against labelled data")
     p.add_argument("--config", help="run configuration file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--lesion-class", type=int, default=LESION_CLASS)
+    p.add_argument("--lesion-class", type=int,
+                   help="class to segment (default: the last, model.num-classes - 1)")
     p.add_argument("--csv", help="also write machine-readable rows here")
     p.set_defaults(fn=cmd_eval)
 

@@ -127,18 +127,18 @@ def build_slice_dataset(
     window: WindowSpec = WindowSpec(),
     *,
     resize: int,
-    slice_filter: str = "all",
+    lesion_class: int = None,
     neighbor_k: int = 2,
 ):
     """Axial slices windowed, equalized and resized into SliceSamples.
 
     ``volumes`` and ``masks`` are mappings volume-id -> Volume; ordering
-    of the result is deterministic by (volume-id, slice-index).
-    ``slice_filter`` is "all" or "lesion" (lesion-bearing slices plus
-    ``neighbor_k`` neighbors on each side).
+    of the result is deterministic by (volume-id, slice-index). With a
+    ``lesion_class``, only lesion-bearing slices are kept, plus
+    ``neighbor_k`` neighbors on each side: slices holding a label at or
+    above the lesion class, so that a label above the last class still
+    reaches ``train``'s label check.
     """
-    if slice_filter not in ("all", "lesion"):
-        raise ValueError(f"unknown slice filter {slice_filter!r}")
     samples = []
     for vid in sorted(volumes):
         vol = volumes[vid]
@@ -148,8 +148,8 @@ def build_slice_dataset(
         if vol.dims != msk.dims:
             raise DataError(f"volume {vid!r}: image dims {vol.dims} != mask dims {msk.dims}")
         z = vol.dims[2]
-        if slice_filter == "lesion":
-            lesion_z = {i for i in range(z) if np.any(msk.voxels[i] > 0)}
+        if lesion_class is not None:
+            lesion_z = {i for i in range(z) if np.any(msk.voxels[i] >= lesion_class)}
             keep = set()
             for i in lesion_z:
                 keep.update(range(max(0, i - neighbor_k), min(z, i + neighbor_k + 1)))

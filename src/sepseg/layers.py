@@ -22,13 +22,18 @@ and so is the depthwise forward at k = 1 and 3, up to the sign of a zero
 (see ``_depthwise_conv2d``). The depthwise input gradient gathers, for
 each input, all k*k taps from +0 in the order the scatter added the
 in-range ones; the extra taps are zeros, and a sum started at +0 is never
--0, so they change no bit. Bilinear 2x upsampling is closed form: each
-output is a fixed 0.25/0.75 pair of neighbours, computed on even and odd
-strided slices, and its adjoint gathers the same pairs without a scatter,
-in the order a scatter-add would sum them (see ``_upsample2x_axis_adjoint``).
+-0, so they change no bit. The depthwise weight gradient is the one
+deliberate exception: per kernel row, k dot products of the flat input
+taps with the flat upstream gradient, whose wrapped columns are zeros. It
+agrees with the sliding-window einsum it replaced to float rounding,
+within the bound of summing n*ho*wo products in any order. Bilinear 2x
+upsampling is closed form: each output is a fixed 0.25/0.75 pair of
+neighbours, computed on even and odd strided slices, and its adjoint
+gathers the same pairs without a scatter, in the order a scatter-add
+would sum them (see ``_upsample2x_axis_adjoint``).
 
 A forward does only forward work. What only a backward reads (the max-pool
-routing, a ReLU mask, a padded copy for the depthwise weight gradient) is
+routing, a ReLU mask, the block buffers of the depthwise gradients) is
 computed inside the backward closure from the inputs the closure holds, so
 an infer-mode forward, which records no graph, never pays for it.
 Infer-mode batch norm is one per-channel multiply-add with the running
@@ -201,8 +206,8 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tens
     then the contiguous span ``[i*wp + j : i*wp + j + ho*wp]``, and every
     multiply and add is one 2-D pass. The last k - 1 values of each wide
     output row wrap around into the next padded row; the bias add leaves
-    them out of the output. Only the backward pads the whole input, for the
-    weight gradient.
+    them out of the output. The backward works on the same blocks, in
+    buffers of its own, so no pass pads or copies the whole activation.
 
     The summation order is part of the contract, because training amplifies
     last-ulp differences. The forward sums each kernel row left to right,
@@ -219,8 +224,18 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tens
     from +0 in (i, j) order, where the scatter summed only those in range.
     With finite weights the others are zeros, and a sum started at +0 is
     never -0 in round-to-nearest, so adding them changes no bit, not even
-    the sign of a zero. The weight gradient stays one einsum over the
-    sliding windows.
+    the sign of a zero.
+
+    The weight gradient is the one sum whose order is not kept. Each block
+    of x goes into a zero-bordered flat buffer as in the forward, and g
+    into a ``(channels, ho, wp)`` buffer whose k - 1 wrapped columns stay
+    zero. For kernel row i, ``einsum("ckl,cl->ck")`` of the taps
+    ``i*wp .. i*wp + k - 1`` with the flat g gives the row's k dot
+    products, added to a ``(c, k, k)`` accumulator image by image in batch
+    order. With finite x the wrapped columns add zeros. Against the
+    sliding-window einsum ``einsum("nchwij,nchw->cij")`` it replaced, each
+    entry differs by at most ``2*m*eps*sum|x*g|`` over its m = n*ho*wo
+    products, eps of the data's dtype.
     """
     n, c, h, w = x.shape
     cw, one, k, _ = weight.shape
@@ -247,10 +262,17 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tens
         np.add(a.reshape(m, ho, wp)[:, :, :wo], bias.data[cs, None, None], out=out_data[b, cs])
 
     def bwd(g):
-        xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-        xp[:, :, pad : pad + h, pad : pad + w] = x.data
-        win = sliding_window_view(xp, (k, k), axis=(2, 3))
-        _accum(weight, np.einsum("nchwij,nchw->cij", win, g).reshape(c, 1, k, k))
+        xb = np.zeros((cb, hp * wp + k - 1), dtype=x.dtype)
+        xtaps = sliding_window_view(xb, ho * wp, axis=1)
+        gb = np.zeros((cb, ho, wp), dtype=g.dtype)
+        gwt = np.zeros((c, k, k), dtype=np.result_type(x.data, g))
+        for b, cs, m in blocks:
+            xb[:m, : hp * wp].reshape(m, hp, wp)[:, pad : pad + h, pad : pad + w] = x.data[b, cs]
+            gb[:m, :, :wo] = g[b, cs]
+            gm = gb[:m].reshape(m, ho * wp)
+            for i in range(k):
+                gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, i * wp : i * wp + k], gm)
+        _accum(weight, gwt.reshape(c, 1, k, k))
         _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             gh, gw, e = ho + 2 * k - 2, wo + 2 * k - 2, k - 1

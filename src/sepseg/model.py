@@ -62,6 +62,12 @@ class ModelSpec:
         DropoutParams(self.dropout_rate)  # rejects a rate outside [0, 1)
 
     @property
+    def lesion_class(self):
+        """The class that is scored: the last one, as in LiTS's 0 background,
+        1 liver, 2 lesion, and in a 0/1 lesion mask."""
+        return self.num_classes - 1
+
+    @property
     def upsample_plan(self):
         if self.variant == "proposed":
             return ("bilinear", "bilinear", "bilinear", "subpixel")

@@ -28,7 +28,6 @@ from .model import ModelSpec, build_model, forward, predict_masks
 from .preprocess import AugmentSpec, augment_pair
 
 GRAD_CLIP = 5.0  # global gradient-norm bound
-LESION_CLASS = 1
 
 
 class NumericError(RuntimeError):
@@ -224,14 +223,15 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
     )
     params = model.named_parameters()
     state = AdamState(lr=config.lr)
-    lesion_idx = [i for i, s in enumerate(train_set) if np.any(s.mask == LESION_CLASS)]
+    lesion = model_spec.lesion_class
+    lesion_idx = [i for i, s in enumerate(train_set) if np.any(s.mask == lesion)]
     records = []
     best = None  # (iteration, val_dice, snapshot)
     start = time.time()
 
     for it in range(1, config.iterations + 1):
         batch = _draw_batch(
-            train_set, lesion_idx, config.batch_size, rng.substream(1, it), LESION_CLASS,
+            train_set, lesion_idx, config.batch_size, rng.substream(1, it), lesion,
         )
         x_np, y_np = _batch_arrays(batch, config, rng.substream(2, it), aug_spec)
         x = Tensor(x_np)
@@ -248,8 +248,8 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
         adam_step(params, state)
 
         if it % config.eval_every == 0 or it == config.iterations:
-            train_dice, _ = _mean_dice(model, train_set, config.batch_size, LESION_CLASS)
-            val_dice, val_overlap = _mean_dice(model, val_set, config.batch_size, LESION_CLASS)
+            train_dice, _ = _mean_dice(model, train_set, config.batch_size, lesion)
+            val_dice, val_overlap = _mean_dice(model, val_set, config.batch_size, lesion)
             rec = RunRecord(it, loss_val, train_dice, val_dice, val_overlap,
                             time.time() - start)
             records.append(rec)
@@ -270,8 +270,8 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
     return model, records, best
 
 
-def evaluate(model, samples, lesion_class: int = LESION_CLASS, batch: int = 8):
-    """Per-volume and aggregate scores in infer mode.
+def evaluate(model, samples, lesion_class: int, batch: int = 8):
+    """Per-volume and aggregate scores of ``lesion_class`` in infer mode.
 
     Per-volume rows: mean per-slice scores over slices with nonempty
     truth; a global-voxel variant pools all pixels of the volume.

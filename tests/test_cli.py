@@ -149,6 +149,39 @@ class TestTrainCommand:
         assert err.startswith("data error:") and "Traceback" not in err
         assert f"volume '0' slice 2: mask label {label} outside [0, 2)" in err
 
+    def test_three_labels_score_the_last_class(self, tmp_path, nifti_factory):
+        # LiTS's labels: liver (1) on all 14 slices, lesion (2) on slices 4-8
+        from sepseg.data import build_slice_dataset, load_checkpoint, load_into_model, read_nifti
+        from sepseg.train import _mean_dice, kfold_split
+
+        (tmp_path / "data").mkdir()
+        img = np.random.default_rng(0).integers(-200, 300, (14, 32, 32)).astype(np.int16)
+        mask = np.zeros((14, 32, 32), dtype=np.int16)
+        mask[:, 4:28, 4:28] = 1
+        mask[4:9, 10:18, 12:20] = 2
+        img[mask == 1] += 150
+        vol = nifti_factory("data/volume-0.nii", img)
+        seg = nifti_factory("data/segmentation-0.nii", mask)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_CONFIG + "model.num-classes = 3\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                     "--out", str(out)]) == 0
+
+        cfg = parse_config(cfg_path.read_text())
+        samples = build_slice_dataset({"0": read_nifti(vol)}, {"0": read_nifti(seg)}, cfg.window,
+                                      resize=32, lesion_class=2)
+        assert [s.slice_index for s in samples] == list(range(2, 11))
+        train_set, val_set = kfold_split(samples, cfg.data.folds, cfg.data.fold_index,
+                                         cfg.train.seed)
+        model = build_model(cfg.model, Rng(cfg.train.seed, 0))
+        load_into_model(model, load_checkpoint(str(out / "final.ckpt")))
+        row = (out / "run_log.csv").read_text().splitlines()[-1].split(",")
+        lesion = [_mean_dice(model, s, 2, 2)[0] for s in (train_set, val_set)]
+        liver = [_mean_dice(model, s, 2, 1)[0] for s in (train_set, val_set)]
+        assert row[2:4] == [f"{d:.6f}" for d in lesion]
+        assert row[2:4] != [f"{d:.6f}" for d in liver]
+
     @pytest.mark.parametrize("spec", ["phantoms:4x40", "phantoms:1x32", "phantoms:0x32"])
     def test_bad_phantom_spec_exit_2(self, tmp_path, config_path, capsys, spec):
         code = main(["train", "--config", config_path,

@@ -150,15 +150,25 @@ class TestSliceDataset:
         img, mask = _volume_pair(lesion_slices=())
         v, m = self._read(nifti_factory, img, mask)
         samples = build_slice_dataset({"0": v}, {"0": m}, resize=32,
-                                      slice_filter="lesion", neighbor_k=0)
+                                      lesion_class=1, neighbor_k=0)
         assert samples == []
 
     def test_lesion_filter_with_neighbors(self, nifti_factory):
         img, mask = _volume_pair(lesion_slices=(2,))
         v, m = self._read(nifti_factory, img, mask)
         samples = build_slice_dataset({"0": v}, {"0": m}, resize=32,
-                                      slice_filter="lesion", neighbor_k=1)
+                                      lesion_class=1, neighbor_k=1)
         assert [s.slice_index for s in samples] == [1, 2, 3]
+
+    def test_lesion_filter_keeps_the_lesion_class(self, nifti_factory):
+        img, mask = _volume_pair(z=7, lesion_slices=())
+        mask[:, 4:28, 4:28] = 1
+        mask[3, 8:16, 8:16] = 2
+        v, m = self._read(nifti_factory, img, mask)
+        kept = [[s.slice_index for s in build_slice_dataset({"0": v}, {"0": m}, resize=32,
+                                                            lesion_class=c, neighbor_k=1)]
+                for c in (2, 1)]
+        assert kept == [[2, 3, 4], list(range(7))]
 
     def test_pipeline_value_ranges(self, nifti_factory):
         img, mask = _volume_pair()

@@ -11,6 +11,7 @@ from sepseg.autograd import (
     _make,
     _unbroadcast,
     backward,
+    grad_check,
     im2col,
     matmul,
     no_grad,
@@ -106,6 +107,24 @@ def _depthwise_input_grad_oracle(g, weight, pad):
         for j in range(k):
             gpad[:, :, i : i + ho, j : j + wo] += g * dw[None, :, i, j, None, None]
     return gpad[:, :, pad : pad + ho, pad : pad + wo]
+
+
+def _depthwise_weight_grad_oracle(x, g, k, pad):
+    """The seed's depthwise weight gradient: one einsum over the sliding
+    windows of the zero-padded input."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return np.einsum("nchwij,nchw->cij", win, g).reshape(x.shape[1], 1, k, k)
+
+
+def _weight_grad_bound(x, g, k, pad, dtype):
+    """Two orders of summing the m = n*ho*wo products of one weight-gradient
+    entry each err by at most m * eps * sum|x*g|, so they differ by at most
+    twice that."""
+    n, _, ho, wo = g.shape
+    terms = _depthwise_weight_grad_oracle(np.abs(x).astype(np.float64),
+                                          np.abs(g).astype(np.float64), k, pad)
+    return 2 * n * ho * wo * np.finfo(dtype).eps * terms
 
 
 def _depthwise_case(shape, k, dtype, transposed=False):
@@ -289,6 +308,9 @@ class TestDepthwiseKernel:
         _assert_equal_to_row_buffer_kernel(x, weight, bias, g, k)
 
     def test_model_equals_row_buffer_kernel(self, monkeypatch):
+        # one train step with the kernel and with the row-buffer oracle: every
+        # array has the same bits except the depthwise weight gradients, whose
+        # sums run in another order and stay within float32 rounding
         from sepseg import layers as layers_module
         from sepseg import model as model_module
         from sepseg.metrics import ClassWeights, weighted_cross_entropy
@@ -296,19 +318,109 @@ class TestDepthwiseKernel:
         x = Tensor(np.random.default_rng(4).normal(size=(4, 1, 64, 64)).astype(np.float32))
         labels = np.random.default_rng(1).integers(0, 2, (4, 64, 64))
 
-        def step():
+        def step(conv):
+            calls = {}  # weight tensor id -> (x, g, k, pad) of its depthwise call
+
+            def recording(xt, weight, bias, pad):
+                out = conv(xt, weight, bias, pad)
+                bwd = out._backward
+
+                def recording_bwd(g):
+                    calls[id(weight)] = (xt.data, g, weight.shape[2], pad)
+                    bwd(g)
+
+                out._backward = recording_bwd
+                return out
+
+            monkeypatch.setattr(layers_module, "_depthwise_conv2d", recording)
             model = model_module.build_model(model_module.ModelSpec(base_depth=8), Rng(0, 0))
             probs = model_module.forward(model, x, "train", rng=Rng(0, 1))
             loss = weighted_cross_entropy(probs, labels, ClassWeights([1.0, 3.0]))
             backward(loss)
-            grads = [t.grad for t in model.named_parameters().values()]
             with no_grad():
                 infer = model_module.forward(model, x, "infer")
-            return [loss.data] + grads + list(model.named_statistics().values()) + [infer.data]
+            params = model.named_parameters()
+            arrays = {"loss": loss.data, "infer": infer.data, **model.named_statistics()}
+            arrays.update((f"{name}.grad", t.grad) for name, t in params.items())
+            return arrays, {name: calls.get(id(t)) for name, t in params.items()}
 
-        flat = step()
-        monkeypatch.setattr(layers_module, "_depthwise_conv2d", _depthwise_row_buffer_oracle)
-        _assert_bits_equal(flat, step())
+        got, calls = step(_depthwise_conv2d)
+        want, _ = step(_depthwise_row_buffer_oracle)
+        assert got.keys() == want.keys()
+        differ = set()
+        for name in got:
+            try:
+                _assert_bits_equal([got[name]], [want[name]])
+            except AssertionError:
+                differ.add(name)
+        dw_weights = {f"{name}.grad" for name in calls if name.endswith(".dw_weight")}
+        assert len(dw_weights) == 18 and differ <= dw_weights
+        for name in dw_weights:
+            xd, g, k, pad = calls[name[: -len(".grad")]]
+            bound = _weight_grad_bound(xd, g, k, pad, np.float32)
+            assert np.all(np.abs(got[name].astype(np.float64) - want[name]) <= bound), name
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("shape", ROW_BUFFER_SHAPES)
+    def test_weight_grad_within_float32_rounding(self, shape, k):
+        rng = np.random.default_rng(8)
+        x, g = (rng.normal(size=shape).astype(np.float32) for _ in range(2))
+        weight = Tensor(rng.normal(size=(shape[1], 1, k, k)).astype(np.float32),
+                        requires_grad=True)
+        pad = (k - 1) // 2
+        out = _depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(shape[1], np.float32)), pad)
+        backward((out * Tensor(g)).sum())
+        assert weight.grad.dtype == np.float32
+        want = _depthwise_weight_grad_oracle(x.astype(np.float64), g.astype(np.float64), k, pad)
+        assert np.all(np.abs(weight.grad - want) <= _weight_grad_bound(x, g, k, pad, np.float32))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_weight_grad_float64_stays_float64(self, k):
+        rng = np.random.default_rng(9)
+        shape = (2, 7, 129, 129)
+        x, g = rng.normal(size=shape), rng.normal(size=shape)
+        weight = Tensor(rng.normal(size=(7, 1, k, k)), requires_grad=True)
+        pad = (k - 1) // 2
+        out = _depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(7)), pad)
+        backward((out * Tensor(g)).sum())
+        assert weight.grad.dtype == np.float64
+        want = _depthwise_weight_grad_oracle(x, g, k, pad)
+        assert np.all(np.abs(weight.grad - want) <= _weight_grad_bound(x, g, k, pad, np.float64))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_weight_grad_check(self, k):
+        rng = np.random.default_rng(10)
+        x, proj = rng.normal(size=(2, 3, 6, 5)), rng.normal(size=(2, 3, 6, 5))
+        bias = Tensor(rng.normal(size=3))
+
+        def f(weight):
+            out = _depthwise_conv2d(Tensor(x), weight, bias, (k - 1) // 2)
+            return (out * Tensor(proj)).sum()
+
+        assert grad_check(f, rng.normal(size=(3, 1, k, k))) <= 1e-4
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_backward_footprint_is_block_buffers(self, x_grad):
+        # padding the whole input for the weight gradient, as the einsum over
+        # sliding windows did, would add 2.2 MB to the peak
+        n, c, h, w, k = 4, 8, 128, 128, 3
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(n, c, h, w)).astype(np.float32), requires_grad=x_grad)
+        weight = Tensor(rng.normal(size=(c, 1, k, k)).astype(np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
+        out = _depthwise_conv2d(x, weight, bias, 1)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the largest block buffer is the input gradient's, (h + 2k - 2) *
+        # (w + 2k - 2) positions for each of the 3 channels that fit in a block
+        block = 3 * (h + 2 * k - 2) * (w + 2 * k - 2) * 4
+        gx = 2 * x.data.nbytes if x_grad else 0  # the gradient and its first-accumulation copy
+        assert peak <= gx + (5 if x_grad else 2) * block + (64 << 10)
 
     def test_infer_footprint_is_the_output_and_four_block_buffers(self):
         # padding the whole input, or a wide buffer for the whole output,

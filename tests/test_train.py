@@ -237,7 +237,7 @@ class TestEvaluate:
     def test_untrained_model_smoke(self):
         samples, spec = _phantom_setup()
         model = build_model(spec, Rng(0, 0))
-        rows, means = evaluate(model, samples)
+        rows, means = evaluate(model, samples, spec.lesion_class)
         assert len(rows) == 1
         assert 0.0 <= means["dice"] <= 1.0
         for key in ("overlap", "dice", "jaccard", "overlap_global",
@@ -249,5 +249,5 @@ class TestEvaluate:
         # blank out one sample's mask entirely
         samples[0].mask[:] = 0
         model = build_model(spec, Rng(0, 0))
-        rows, _ = evaluate(model, samples)
+        rows, _ = evaluate(model, samples, spec.lesion_class)
         assert np.isfinite(rows[0]["dice"])  # remaining slices still counted
