@@ -132,7 +132,7 @@ def cmd_infer(args):
     cfg = _config(args)
     lesion_class = _lesion_class(args, cfg)
     model = _load_model_from_checkpoint(args, cfg)
-    masks = predict_masks(model, _input_images(args.input, cfg), 8, lesion_class)
+    masks = predict_masks(model, _input_images(args.input, cfg), lesion_class)
     os.makedirs(args.out, exist_ok=True)
     for i, mask in enumerate(masks):
         write_pgm(mask, os.path.join(args.out, f"slice_{i:04d}.pgm"))

@@ -245,14 +245,16 @@ def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None):
         return softmax_channels(conv2d(cur, model.head))
 
 
-def predict_masks(model: Model, images, batch: int, lesion_class: int):
+def predict_masks(model: Model, images, lesion_class: int):
     """Infer-mode lesion masks, one (H, W) uint8 array per (1, H, W)
-    image, computed ``batch`` images at a time."""
-    masks = []
-    for i in range(0, len(images), batch):
-        probs = forward(model, Tensor(np.stack(images[i : i + batch])), mode="infer")
-        masks.extend(probs_to_mask(probs, lesion_class))
-    return masks
+    image, one image per forward so that the peak memory is one slice's.
+
+    A mask depends on its own image only. ``proposed`` has the bits of
+    any batch; a k x k conv's GEMM spans the batch, whose size could
+    move ``baseline-unet``'s last bits.
+    """
+    return [probs_to_mask(forward(model, Tensor(image[None]), mode="infer"), lesion_class)[0]
+            for image in images]
 
 
 def count_parameters(model: Model):

@@ -168,11 +168,11 @@ def _batch_arrays(batch, config, rng_aug, aug_spec):
     return np.stack(images), np.stack(labels)
 
 
-def _mean_dice(model, samples, batch, lesion_class):
+def _mean_dice(model, samples, lesion_class):
     """Mean per-slice dice (standard + overlap) in infer mode; slices
     with empty truth are skipped for the per-slice mean."""
     dices, overlaps = [], []
-    preds = predict_masks(model, [s.image for s in samples], batch, lesion_class)
+    preds = predict_masks(model, [s.image for s in samples], lesion_class)
     for s, pred in zip(samples, preds):
         truth = (s.mask == lesion_class).astype(np.uint8)
         if not truth.any():
@@ -248,8 +248,8 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
         adam_step(params, state)
 
         if it % config.eval_every == 0 or it == config.iterations:
-            train_dice, _ = _mean_dice(model, train_set, config.batch_size, lesion)
-            val_dice, val_overlap = _mean_dice(model, val_set, config.batch_size, lesion)
+            train_dice, _ = _mean_dice(model, train_set, lesion)
+            val_dice, val_overlap = _mean_dice(model, val_set, lesion)
             rec = RunRecord(it, loss_val, train_dice, val_dice, val_overlap,
                             time.time() - start)
             records.append(rec)
@@ -270,7 +270,7 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
     return model, records, best
 
 
-def evaluate(model, samples, lesion_class: int, batch: int = 8):
+def evaluate(model, samples, lesion_class: int):
     """Per-volume and aggregate scores of ``lesion_class`` in infer mode.
 
     Per-volume rows: mean per-slice scores over slices with nonempty
@@ -281,7 +281,7 @@ def evaluate(model, samples, lesion_class: int, batch: int = 8):
         by_volume.setdefault(s.volume_id, []).append(s)
     rows = []
     for vid, group in by_volume.items():
-        pred = np.stack(predict_masks(model, [s.image for s in group], batch, lesion_class))
+        pred = np.stack(predict_masks(model, [s.image for s in group], lesion_class))
         truth = np.stack([(s.mask == lesion_class) for s in group]).astype(np.uint8)
         slice_scores = [
             (overlap_score(pred[i], truth[i]), dice_standard(pred[i], truth[i]),

@@ -177,8 +177,8 @@ class TestTrainCommand:
         model = build_model(cfg.model, Rng(cfg.train.seed, 0))
         load_into_model(model, load_checkpoint(str(out / "final.ckpt")))
         row = (out / "run_log.csv").read_text().splitlines()[-1].split(",")
-        lesion = [_mean_dice(model, s, 2, 2)[0] for s in (train_set, val_set)]
-        liver = [_mean_dice(model, s, 2, 1)[0] for s in (train_set, val_set)]
+        lesion = [_mean_dice(model, s, 2)[0] for s in (train_set, val_set)]
+        liver = [_mean_dice(model, s, 1)[0] for s in (train_set, val_set)]
         assert row[2:4] == [f"{d:.6f}" for d in lesion]
         assert row[2:4] != [f"{d:.6f}" for d in liver]
 

@@ -5,6 +5,7 @@ import pytest
 
 import sepseg.model as model_module
 from sepseg.autograd import Rng, ShapeError, Tensor, _released, backward
+from sepseg.metrics import probs_to_mask
 from sepseg.model import (
     ModelSpec,
     ResNetBlockSpec,
@@ -12,6 +13,7 @@ from sepseg.model import (
     build_model,
     count_parameters,
     forward,
+    predict_masks,
     resnet_block_forward,
 )
 
@@ -142,6 +144,88 @@ class TestGraphLifetime:
         _, proposed, _ = _infer_memory(small_model("proposed"), x)
         _, baseline, _ = _infer_memory(small_model("baseline-unet"), x)
         assert proposed < baseline
+
+
+def _batched_predict(model, images, batch, lesion_class):
+    """The batched inference loop that ``predict_masks`` replaced: masks and
+    per-image probabilities, ``batch`` images per forward."""
+    masks, probs = [], []
+    for i in range(0, len(images), batch):
+        p = forward(model, Tensor(np.stack(images[i : i + batch])), mode="infer").data
+        probs.extend(p)
+        masks.extend(probs_to_mask(p, lesion_class))
+    return masks, probs
+
+
+def _trained_statistics(model, rng):
+    """Give every batch-norm running statistic a value away from its init."""
+    for name, s in model.named_statistics().items():
+        if name.endswith("running_var"):
+            s[...] = rng.uniform(0.5, 2.0, s.shape)
+        else:
+            s[...] = rng.normal(0.0, 0.5, s.shape)
+    return model
+
+
+def _images(n, side, seed=5):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(1, side, side)).astype(np.float32) for _ in range(n)]
+
+
+class TestPredictMasks:
+    # proposed runs every kernel image by image, so one image per forward
+    # has the batched loop's bits. baseline-unet's k x k convs are one GEMM
+    # over the columns of the whole batch. With 16 or fewer columns per
+    # image (the 4x4 and 2x2 maps at 32x32), an AVX-512 OpenBLAS sums a
+    # column in an order that depends on the column count, so there the
+    # batched bits were an accident of the batch and the two loops agree
+    # to float32 rounding.
+    UNET_TOL = 256 * np.finfo(np.float32).eps
+
+    @pytest.mark.parametrize("batch", [8, 3])
+    @pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
+    def test_equals_batched_loop(self, variant, batch, monkeypatch):
+        model = _trained_statistics(small_model(variant), np.random.default_rng(6))
+        images = _images(5, 32)
+        want_masks, want_probs = _batched_predict(model, images, batch, 1)
+
+        seen = []
+
+        def recording_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            seen.append(out.data)
+            return out
+
+        monkeypatch.setattr(model_module, "forward", recording_forward)
+        masks = predict_masks(model, images, 1)
+        assert [p.shape for p in seen] == [(1, 2, 32, 32)] * 5
+        assert len(masks) == 5
+        assert any(m.any() for m in masks) and not all(m.all() for m in masks)
+        for got, mask, want, want_mask in zip(seen, masks, want_probs, want_masks):
+            assert mask.dtype == np.uint8
+            if variant == "proposed":
+                assert np.array_equal(got[0].view(np.uint32), want.view(np.uint32))
+                assert np.array_equal(mask, want_mask)
+            else:
+                np.testing.assert_allclose(got[0], want, rtol=0, atol=self.UNET_TOL)
+                decided = np.abs(want[1] - want[0]) > 2 * self.UNET_TOL
+                assert np.array_equal(mask[decided], want_mask[decided])
+
+    @pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
+    def test_peak_memory_does_not_grow_with_slices(self, variant):
+        model = small_model(variant)
+        images = _images(6, 64)
+
+        def peak(imgs):
+            tracemalloc.start()
+            try:
+                predict_masks(model, imgs, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        predict_masks(model, images[:1], 1)  # warm-up: first-call allocations
+        assert peak(images) <= 1.25 * peak(images[:1])
 
 
 def _train_step(model, x, made_nodes):
