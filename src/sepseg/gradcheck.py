@@ -94,7 +94,7 @@ def _case_resnet_block(rng):
 
 LAYER_CASES = {
     "conv2d": _normal(
-        lambda x, w, b: conv2d(x, Conv2dParams(w, b, 1, 1)),
+        lambda x, w, b: conv2d(x, Conv2dParams(w, b)),
         input=(1, 2, 4, 4), weight=(3, 2, 3, 3), bias=(3,),
     ),
     "separable_conv2d": _normal(

@@ -15,15 +15,23 @@ one matmul per image. The depthwise pass works on a flat layout: each
 channel's zero-bordered plane is one row of a buffer, so every kernel tap
 is one contiguous slice and every multiply-add one 2-D pass. Each output
 row then carries k - 1 wrapped-around values, which the bias add drops.
-Standard k x k convolutions (k > 1) go through im2col + matmul. Each
-kernel keeps the summation order of the plain formulation it replaced:
-the 1x1 path and the depthwise input gradient are bit-identical to it,
-and so is the depthwise forward at k = 1 and 3, up to the sign of a zero
-(see ``_depthwise_conv2d``). The depthwise input gradient gathers, for
-each input, all k*k taps from +0 in the order the scatter added the
+A standard k x k convolution (k > 1) is row-blocked im2col on the same
+flat layout: per image, blocks of output rows whose k*k tap spans are
+copied into a column buffer of about ``_CONV_BLOCK`` elements, one GEMM
+each, with the weight matrix and K order of plain im2col; on OpenBLAS its
+forward has im2col's bits at the network's shapes. Its input gradient is
+the same kernel applied to the upstream gradient with the weights flipped
+180 degrees and transposed, the adjoint of a stride-1 same-padded
+correlation, so no col2im scatter runs. Every conv is one graph node. The
+other kernels keep the summation order of the plain formulation they
+replaced: the 1x1 path and the depthwise input gradient are bit-identical
+to it, and so is the depthwise forward at k = 1 and 3, up to the sign of
+a zero (see ``_depthwise_conv2d``). The depthwise input gradient gathers,
+for each input, all k*k taps from +0 in the order the scatter added the
 in-range ones; the extra taps are zeros, and a sum started at +0 is never
--0, so they change no bit. The depthwise weight gradient is the one
-deliberate exception: per kernel row, k dot products of the flat input
+-0, so they change no bit. The depthwise weight gradient is a deliberate
+exception, as are the k x k conv's input and weight gradients (see
+``_conv2d_same``): per kernel row, k dot products of the flat input
 taps with the flat upstream gradient, whose wrapped columns are zeros. It
 agrees with the sliding-window einsum it replaced to float rounding,
 within the bound of summing n*ho*wo products in any order. Bilinear 2x
@@ -33,7 +41,7 @@ gathers the same pairs without a scatter, in the order a scatter-add
 would sum them (see ``_upsample2x_axis_adjoint``).
 
 A forward does only forward work. What only a backward reads (the max-pool
-routing, a ReLU mask, the block buffers of the depthwise gradients) is
+routing, a ReLU mask, the block buffers of the conv gradients) is
 computed inside the backward closure from the inputs the closure holds, so
 an infer-mode forward, which records no graph, never pays for it.
 Infer-mode batch norm is one per-channel multiply-add with the running
@@ -50,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autograd import Rng, ShapeError, Tensor, _accum, _make, _unbroadcast, im2col, matmul, relu
+from .autograd import Rng, ShapeError, Tensor, _accum, _make, _unbroadcast, relu
 
 __all__ = [
     "Conv2dParams",
@@ -77,10 +85,17 @@ __all__ = [
 
 @dataclass
 class Conv2dParams:
-    weight: Tensor  # (C_out, C_in, k, k)
+    """A stride-1 convolution with same padding; the kernel fixes both."""
+
+    weight: Tensor  # (C_out, C_in, k, k), k odd
     bias: Tensor  # (C_out,)
-    stride: int = 1
-    pad: int = 0
+
+    # not fields: read by the benchmark's cost model (perfbench/costmodel.py)
+    stride = 1
+
+    @property
+    def pad(self):
+        return (self.weight.shape[2] - 1) // 2
 
 
 @dataclass
@@ -118,7 +133,7 @@ def _kaiming(rng: Rng, shape, fan_in, dtype):
 def init_conv2d(c_in, c_out, k, rng, dtype=np.float32):
     weight = _kaiming(rng, (c_out, c_in, k, k), c_in * k * k, dtype)
     bias = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
-    return Conv2dParams(weight, bias, 1, (k - 1) // 2)
+    return Conv2dParams(weight, bias)
 
 
 def init_separable_conv2d(c_in, c_out, k, rng, dtype=np.float32):
@@ -142,24 +157,23 @@ def init_batch_norm(c, dtype=np.float32):
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Cross-correlation with bias.
+    """Cross-correlation with bias, stride 1, same padding: a k x k kernel
+    (k odd) keeps the spatial size, padding each side with (k - 1)/2 zeros.
 
-    A 1x1 kernel at stride 1 without padding is one matmul over the
-    (N, C_in, H*W) view of the input (see ``_conv1x1``); every other
-    kernel is realized as im2col + matmul.
+    A 1x1 kernel is one matmul over the (N, C_in, H*W) view of the input
+    (see ``_conv1x1``); a larger one is row-blocked im2col on the flat
+    row-padded layout (see ``_conv2d_same``). Either way the conv is one
+    graph node.
     """
-    n, c_in, h, w = x.shape
+    c_in = x.shape[1]
     c_out, c_w, k, _ = p.weight.shape
     if c_in != c_w:
         raise ShapeError(f"conv2d channel mismatch: input has {c_in}, weight expects {c_w}")
-    if k == 1 and p.stride == 1 and p.pad == 0:
+    if k % 2 == 0:
+        raise ShapeError(f"conv2d needs an odd kernel for same padding, got {k}x{k}")
+    if k == 1:
         return _conv1x1(x, p.weight, p.bias)
-    h_out = (h + 2 * p.pad - k) // p.stride + 1
-    w_out = (w + 2 * p.pad - k) // p.stride + 1
-    cols = im2col(x, k, p.stride, p.pad)
-    out = matmul(p.weight.reshape(c_out, c_in * k * k), cols)
-    out = out.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
-    return out + p.bias.reshape(1, c_out, 1, 1)
+    return _conv2d_same(x, p.weight, p.bias)
 
 
 def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -186,6 +200,109 @@ def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             _accum(x, np.matmul(w2.T, g.reshape(n, c_out, h * w)).reshape(x.shape))
 
     return _make(out_data.reshape(n, c_out, h, w), (x, weight, bias), bwd)
+
+
+# elements of one row block's column buffer in the k x k conv (4 MiB of
+# float32): a whole image's columns at the deep, small maps and 56 rows at
+# a 256-wide map with 8 channels, so the buffer does not grow with the
+# image
+_CONV_BLOCK = 1 << 20
+
+
+def _block_rows(c, k, h, wp):
+    return max(1, min(h, _CONV_BLOCK // (c * k * k * wp)))
+
+
+def _column_blocks(data, k):
+    """Yield ``(b, rows, cols)`` for each block of output rows of each
+    image of ``data`` (N, C, H, W), for a k x k kernel with same padding.
+
+    The image is copied once into a zero-bordered flat buffer of shape
+    ``(C, hp*wp + k - 1)`` (``hp, wp = H + k - 1, W + k - 1``), so the m
+    output rows of a block read tap (i, j) as the contiguous span
+    ``(r0 + i)*wp + j`` of length ``m*wp``. ``cols`` is the block's
+    ``(C*k*k, m*wp)`` im2col matrix, K in (c, i, j) order, filled with k*k
+    span copies; the last k - 1 columns of each of its m rows wrap around
+    into the next padded row. ``rows`` is the block's slice of output rows.
+    Blocks hold ``_block_rows`` rows, about ``_CONV_BLOCK`` elements of
+    ``cols``, and every block's ``cols`` is a view of one buffer that the
+    next block overwrites.
+    """
+    n, c, h, w = data.shape
+    pad, hp, wp = (k - 1) // 2, h + k - 1, w + k - 1
+    rows = _block_rows(c, k, h, wp)
+    xf = np.zeros((c, hp * wp + k - 1), dtype=data.dtype)
+    buf = np.empty((c, k * k, rows * wp), dtype=data.dtype)
+    for b in range(n):
+        xf[:, : hp * wp].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + w] = data[b]
+        for r0 in range(0, h, rows):
+            m = min(rows, h - r0)
+            cols = buf[:, :, : m * wp]
+            for t, (i, j) in enumerate(np.ndindex(k, k)):
+                s = (r0 + i) * wp + j
+                cols[:, t] = xf[:, s : s + m * wp]
+            yield b, slice(r0, r0 + m), cols.reshape(c * k * k, m * wp)
+
+
+def _correlate_same(data, weight, bias):
+    """Stride-1, same-padded cross-correlation of ``data`` (N, C, H, W)
+    with ``weight`` (C_out, C, k, k), plus ``bias``: one GEMM per row
+    block of ``_column_blocks``, into a wide buffer whose wrapped columns
+    the bias add leaves out of the output."""
+    n, _, h, w = data.shape
+    c_out, c, k, _ = weight.shape
+    wp = w + k - 1
+    w2 = weight.reshape(c_out, c * k * k)
+    out = np.empty((n, c_out, h, w), dtype=np.result_type(data, w2))
+    wide = np.empty((c_out, _block_rows(c, k, h, wp) * wp), dtype=out.dtype)
+    for b, rows, cols in _column_blocks(data, k):
+        m = rows.stop - rows.start
+        prod = np.matmul(w2, cols, out=wide[:, : m * wp]).reshape(c_out, m, wp)
+        np.add(prod[:, :, :w], bias[:, None, None], out=out[b, :, rows])
+    return out
+
+
+def _conv2d_same(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """k x k convolution (k odd, k > 1), stride 1, same padding, as one
+    graph node: row-blocked im2col on the flat row-padded layout.
+
+    im2col's whole-image column matrix is never built: each image goes
+    through ``_column_blocks``, whose column buffer holds about
+    ``_CONV_BLOCK`` elements, and each block is one
+    ``W.reshape(C_out, C_in*k*k) @ cols``, the matrix that im2col
+    multiplied, in the same K order. The GEMM runs image by image, so an
+    image's output does not depend on the batch it rides in.
+
+    The weight gradient sums, image by image and block by block,
+    ``g_blk @ cols_blk.T``, where ``g_blk`` is the block's upstream
+    gradient in the wide layout with its wrapped columns zero. The input
+    gradient is the forward kernel applied to ``g`` with W flipped 180
+    degrees and transposed to (C_in, C_out, k, k): at stride 1 with same
+    padding that correlation is the conv's adjoint, so no col2im scatter is
+    needed. Both reorder im2col's sums over the batch and the kernel taps
+    and agree with them to float rounding. The bias gradient sums over
+    batch, rows and columns in that order, as the broadcast add's backward
+    does.
+    """
+    _, c, h, w = x.shape
+    c_out, _, k, _ = weight.shape
+    out_data = _correlate_same(x.data, weight.data, bias.data)
+
+    def bwd(g):
+        wp = w + k - 1
+        gw = np.zeros((c_out, c * k * k), dtype=np.result_type(x.data, g))
+        gb = np.zeros((c_out, _block_rows(c, k, h, wp), wp), dtype=g.dtype)
+        for b, rows, cols in _column_blocks(x.data, k):
+            m = rows.stop - rows.start
+            gb[:, :m, :w] = g[b, :, rows]
+            gw += gb[:, :m].reshape(c_out, m * wp) @ cols.T
+        _accum(weight, gw.reshape(weight.shape))
+        _accum(bias, g.sum(axis=0).sum(axis=1).sum(axis=1))
+        if x.requires_grad:
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            _accum(x, _correlate_same(g, flipped, np.zeros(c, dtype=g.dtype)))
+
+    return _make(out_data, (x, weight, bias), bwd)
 
 
 # float32 elements in one (batch, channel-slice) block of the depthwise
@@ -296,7 +413,7 @@ def separable_conv2d(x: Tensor, p: SeparableConv2dParams) -> Tensor:
     """Depthwise spatial convolution followed by 1x1 pointwise mixing."""
     k = p.depthwise_weight.shape[2]
     mid = _depthwise_conv2d(x, p.depthwise_weight, p.depthwise_bias, (k - 1) // 2)
-    return conv2d(mid, Conv2dParams(p.pointwise_weight, p.pointwise_bias, stride=1, pad=0))
+    return conv2d(mid, Conv2dParams(p.pointwise_weight, p.pointwise_bias))
 
 
 # -- normalization, pooling, resampling -----------------------------------------

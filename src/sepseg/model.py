@@ -249,9 +249,8 @@ def predict_masks(model: Model, images, lesion_class: int):
     """Infer-mode lesion masks, one (H, W) uint8 array per (1, H, W)
     image, one image per forward so that the peak memory is one slice's.
 
-    A mask depends on its own image only. ``proposed`` has the bits of
-    any batch; a k x k conv's GEMM spans the batch, whose size could
-    move ``baseline-unet``'s last bits.
+    A mask depends on its own image only: every kernel runs image by
+    image, so both variants have the bits of any batch.
     """
     return [probs_to_mask(forward(model, Tensor(image[None]), mode="infer"), lesion_class)[0]
             for image in images]

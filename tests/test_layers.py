@@ -68,7 +68,7 @@ class TestConv2d:
 
     def test_zero_weight_constant_output(self):
         x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 4, 4)))
-        p = Conv2dParams(Tensor(np.zeros((2, 3, 3, 3))), Tensor([1.5, -0.5]), pad=1)
+        p = Conv2dParams(Tensor(np.zeros((2, 3, 3, 3))), Tensor([1.5, -0.5]))
         out = conv2d(x, p).data
         np.testing.assert_allclose(out[:, 0], 1.5, rtol=1e-6)
         np.testing.assert_allclose(out[:, 1], -0.5, rtol=1e-6)
@@ -78,14 +78,100 @@ class TestConv2d:
         x = rng.normal(size=(1, 3, 5, 5))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        p = Conv2dParams(Tensor(w, dtype=np.float64), Tensor(b, dtype=np.float64), pad=1)
+        p = Conv2dParams(Tensor(w, dtype=np.float64), Tensor(b, dtype=np.float64))
         out = conv2d(Tensor(x, dtype=np.float64), p).data
         assert np.abs(out - _conv_oracle(x, w, b, 1)).max() <= 1e-10
 
     def test_channel_mismatch(self):
-        p = Conv2dParams(Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.zeros(2)), pad=1)
+        p = Conv2dParams(Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.zeros(2)))
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 4, 5, 5))), p)
+
+
+def _im2col_conv_oracle(x, weight, bias, g):
+    """The im2col + matmul composition that ``conv2d`` used for k x k
+    kernels: output and the x, W and b gradients for upstream ``g``, with
+    col2im as the scatter of the columns' gradient."""
+    n, c, h, w = x.shape
+    co, _, k, _ = weight.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
+    w2 = weight.reshape(co, c * k * k)
+    out = (w2 @ cols).reshape(co, n, h, w).transpose(1, 0, 2, 3) + bias.reshape(1, co, 1, 1)
+    g2 = g.transpose(1, 0, 2, 3).reshape(co, n * h * w)
+    gcols = (w2.T @ g2).reshape(c, k, k, n, h, w)
+    gxp = np.zeros_like(xp)
+    for i, j in np.ndindex(k, k):
+        gxp[:, :, i : i + h, j : j + w] += gcols[:, i, j].transpose(1, 0, 2, 3)
+    gx = gxp[:, :, pad : pad + h, pad : pad + w]
+    return out, gx, (g2 @ cols.T).reshape(weight.shape), g.sum(axis=(0, 2, 3))
+
+
+class TestConv2dSame:
+    # (n, c_in, c_out, h, w, rows), float64. The block is set so that the
+    # forward's blocks hold ``rows`` rows and the last one of each image is
+    # partial; the input gradient's blocks, sized by c_out, split the rows
+    # too.
+    CASES = [(2, 1, 3, 7, 5, 2), (2, 5, 4, 6, 9, 4), (2, 5, 2, 9, 4, 2)]
+
+    @staticmethod
+    def _case(monkeypatch, shape, k, seed):
+        from sepseg import layers
+
+        n, c_in, c_out, h, w, rows = shape
+        block = c_in * k * k * (w + k - 1)
+        monkeypatch.setattr(layers, "_CONV_BLOCK", rows * block + block // 2)
+        assert layers._block_rows(c_in, k, h, w + k - 1) == rows and h % rows
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(n, c_in, h, w)), rng.normal(size=(c_out, c_in, k, k)),
+                rng.normal(size=c_out), rng.normal(size=(n, c_out, h, w)))
+
+    @pytest.mark.parametrize("shape", CASES)
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_forward_equals_direct_loop_oracle(self, shape, k, monkeypatch):
+        x, w, b, _ = self._case(monkeypatch, shape, k, seed=0)
+        out = conv2d(Tensor(x, dtype=np.float64), Conv2dParams(Tensor(w, dtype=np.float64),
+                                                               Tensor(b, dtype=np.float64)))
+        assert out.dtype == np.float64 and out.shape == (shape[0], shape[2]) + shape[3:5]
+        np.testing.assert_allclose(out.data, _conv_oracle(x, w, b, (k - 1) // 2),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", CASES)
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_gradients_equal_im2col_composition(self, shape, k, monkeypatch):
+        x, w, b, g = self._case(monkeypatch, shape, k, seed=1)
+        xt, wt, bt = (Tensor(a, dtype=np.float64, requires_grad=True) for a in (x, w, b))
+        out = conv2d(xt, Conv2dParams(wt, bt))
+        backward((out * Tensor(g, dtype=np.float64)).sum())
+        want = _im2col_conv_oracle(x, w, b, g)
+        for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), want):
+            assert got.dtype == np.float64
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_one_graph_node(self):
+        x = Tensor(np.ones((2, 3, 5, 4), dtype=np.float32), requires_grad=True)
+        p = init_conv2d(3, 4, 3, Rng(0))
+        out = conv2d(x, p)
+        assert out._parents == (x, p.weight, p.bias)
+
+    def test_even_kernel_rejected(self):
+        p = Conv2dParams(Tensor(np.zeros((2, 3, 2, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):
+            conv2d(Tensor(np.zeros((1, 3, 5, 5))), p)
+
+    def test_baseline_unet_train_step_node_count(self, made_nodes):
+        from sepseg.metrics import ClassWeights, weighted_cross_entropy
+        from sepseg.model import ModelSpec, build_model, forward
+
+        model = build_model(ModelSpec(variant="baseline-unet", base_depth=8), Rng(0, 0))
+        x = Tensor(np.random.default_rng(4).normal(size=(4, 1, 64, 64)).astype(np.float32))
+        labels = np.random.default_rng(1).integers(0, 2, (4, 64, 64))
+        probs = forward(model, x, "train", rng=Rng(0, 1))
+        weighted_cross_entropy(probs, labels, ClassWeights([1.0, 1.0]))
+        # each of the 18 k x k convs is one node: 84 nodes in all
+        assert sum(linked for _, linked in made_nodes) <= 90
 
 
 def _depthwise_einsum_oracle(x, weight, bias, pad):

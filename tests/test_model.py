@@ -173,14 +173,8 @@ def _images(n, side, seed=5):
 
 
 class TestPredictMasks:
-    # proposed runs every kernel image by image, so one image per forward
-    # has the batched loop's bits. baseline-unet's k x k convs are one GEMM
-    # over the columns of the whole batch. With 16 or fewer columns per
-    # image (the 4x4 and 2x2 maps at 32x32), an AVX-512 OpenBLAS sums a
-    # column in an order that depends on the column count, so there the
-    # batched bits were an accident of the batch and the two loops agree
-    # to float32 rounding.
-    UNET_TOL = 256 * np.finfo(np.float32).eps
+    # every kernel of both variants runs image by image, so one image per
+    # forward has the batched loop's bits
 
     @pytest.mark.parametrize("batch", [8, 3])
     @pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
@@ -203,13 +197,8 @@ class TestPredictMasks:
         assert any(m.any() for m in masks) and not all(m.all() for m in masks)
         for got, mask, want, want_mask in zip(seen, masks, want_probs, want_masks):
             assert mask.dtype == np.uint8
-            if variant == "proposed":
-                assert np.array_equal(got[0].view(np.uint32), want.view(np.uint32))
-                assert np.array_equal(mask, want_mask)
-            else:
-                np.testing.assert_allclose(got[0], want, rtol=0, atol=self.UNET_TOL)
-                decided = np.abs(want[1] - want[0]) > 2 * self.UNET_TOL
-                assert np.array_equal(mask[decided], want_mask[decided])
+            assert np.array_equal(got[0].view(np.uint32), want.view(np.uint32))
+            assert np.array_equal(mask, want_mask)
 
     @pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
     def test_peak_memory_does_not_grow_with_slices(self, variant):
