@@ -85,30 +85,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis, keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
     def relu(self):
         return relu(self)
-
-    def log(self):
-        return log_clamped(self)
 
 
 def _wrap(x, dtype):
@@ -226,16 +207,6 @@ def add_relu(a, b):
     return _make(out, (a, b), bwd)
 
 
-def log_clamped(x, floor=1e-12):
-    """Natural log with the argument clamped at ``floor`` to avoid -inf."""
-    clamped = np.maximum(x.data, floor)
-
-    def bwd(g):
-        _accum(x, np.where(x.data >= floor, g / clamped, 0.0))
-
-    return _make(np.log(clamped), (x,), bwd)
-
-
 # -- reductions and structure -----------------------------------------------
 
 
@@ -249,33 +220,6 @@ def tensor_sum(x, axis=None, keepdims=False):
         _accum(x, np.broadcast_to(g, x.shape))
 
     return _make(out_data, (x,), bwd)
-
-
-def tensor_mean(x, axis=None, keepdims=False):
-    if axis is None:
-        count = x.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([x.shape[i] for i in axes]))
-    return tensor_sum(x, axis, keepdims) * (1.0 / count)
-
-
-def reshape(x, shape):
-    old_shape = x.shape
-
-    def bwd(g):
-        _accum(x, g.reshape(old_shape))
-
-    return _make(x.data.reshape(shape), (x,), bwd)
-
-
-def transpose(x, axes):
-    inv = np.argsort(axes)
-
-    def bwd(g):
-        _accum(x, g.transpose(inv))
-
-    return _make(x.data.transpose(axes), (x,), bwd)
 
 
 def concat(tensors, axis):

@@ -24,10 +24,12 @@ from .autograd import Rng, Tensor, add_relu, concat, grad_check, no_grad
 from .layers import (
     BatchNormParams,
     Conv2dParams,
+    DropoutParams,
     SeparableConv2dParams,
     batch_norm,
     bilinear_upsample_2x,
     conv2d,
+    dropout,
     max_pool_2x2,
     pixel_shuffle,
     separable_conv2d,
@@ -78,6 +80,13 @@ def _case_add_relu(rng):
     return add_relu, {"a": a, "b": b}
 
 
+def _case_dropout(rng):
+    x = rng.normal(size=(1, 2, 4, 4))
+    # a fresh stream per call: every finite-difference forward draws the same mask
+    seed = int(rng.integers(0, 2**31))
+    return lambda t: dropout(t, DropoutParams(0.25), "train", Rng(seed)), {"input": x}
+
+
 def _case_weighted_ce(rng):
     x = rng.normal(size=(1, 2, 3, 3))
     labels = rng.integers(0, 2, (1, 3, 3))
@@ -110,6 +119,7 @@ LAYER_CASES = {
     "relu": _case_relu,
     "add_relu": _case_add_relu,
     "concat": _normal(lambda a, b: concat([a, b], axis=1), a=(1, 2, 3, 3), b=(1, 3, 3, 3)),
+    "dropout": _case_dropout,
     "softmax_channels": _normal(softmax_channels, input=(1, 3, 2, 2)),
     "weighted_cross_entropy": _case_weighted_ce,
 }

@@ -48,7 +48,8 @@ Infer-mode batch norm is one per-channel multiply-add with the running
 statistics folded into a scale and a shift.
 Train-mode batch norm is one node with the analytic backward, which keeps
 the order of the 14-node primitive graph it replaced and so its bits (see
-``_batch_norm_train``).
+``_batch_norm_train``). Dropout runs in train mode only, as one node that
+multiplies by the scaled keep mask.
 """
 
 from __future__ import annotations
@@ -620,12 +621,19 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 
 
 def dropout(x: Tensor, p: DropoutParams, mode: str, rng: Rng = None) -> Tensor:
-    if mode == "infer" or p.rate == 0.0:
-        return x * 1.0
-    if rng is None:
-        raise ValueError("dropout in train mode requires an Rng")
+    """Train-mode inverted dropout: zero each element with probability
+    ``p.rate`` and scale the survivors by 1 / (1 - rate). Only a train
+    forward calls it, so any other mode, or a missing ``rng``, is an error.
+    """
+    if mode != "train" or rng is None:
+        raise ValueError(f"dropout runs only in train mode with an Rng, got mode {mode!r}")
     keep = (rng.uniform(size=x.shape) >= p.rate).astype(x.dtype)
-    return x * Tensor(keep / (1.0 - p.rate))
+    mask = keep / (1.0 - p.rate)
+
+    def bwd(g):
+        _accum(x, g * mask)
+
+    return _make(x.data * mask, (x,), bwd)
 
 
 def softmax_channels(x: Tensor) -> Tensor:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor
+from .autograd import ShapeError, Tensor, _accum, _make
 
 
 @dataclass
@@ -73,6 +73,11 @@ def weighted_cross_entropy(probs: Tensor, labels, weights: ClassWeights) -> Tens
     ``probs`` is (N, C, H, W) with channel sums 1 (e.g. a softmax output,
     through which this loss stays differentiable); ``labels`` is an
     integer (N, H, W) array.
+
+    The loss is one graph node whose only parent is ``probs``. Its value and
+    backward run the expressions of the seven-node chain it replaced (pick
+    by one-hot, sum over channels, clamped log, negate, weight, mean) in
+    that chain's order, so value and gradient keep the chain's bits.
     """
     labels = np.asarray(labels)
     n, c, h, w = probs.shape
@@ -83,8 +88,16 @@ def weighted_cross_entropy(probs: Tensor, labels, weights: ClassWeights) -> Tens
     onehot = np.zeros((n, c, h, w), dtype=probs.dtype)
     np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
     pixel_w = weights.w.astype(probs.dtype)[labels][:, None]  # (N,1,H,W)
-    picked = (probs * Tensor(onehot)).sum(axis=1, keepdims=True)
-    return (-(picked.log()) * Tensor(pixel_w)).mean()
+    picked = (probs.data * onehot).sum(axis=1, keepdims=True)
+    clamped = np.maximum(picked, 1e-12)
+    scale = 1.0 / picked.size
+
+    def bwd(g):
+        gp = np.broadcast_to(g * scale, picked.shape) * pixel_w * -1.0
+        gp = np.where(picked >= 1e-12, gp / clamped, 0.0)
+        _accum(probs, np.broadcast_to(gp, probs.shape) * onehot)
+
+    return _make((-np.log(clamped) * pixel_w).sum() * scale, (probs,), bwd)
 
 
 def probs_to_mask(probs, lesion_class: int):

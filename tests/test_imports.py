@@ -1,9 +1,11 @@
-"""Every module-level import in ``src/sepseg`` is used by its module, and
-the package loads nothing beyond numpy and the standard library.
+"""Every module-level import in ``src/sepseg`` is used by its module,
+every graph op in ``autograd`` has a caller in another module, and the
+package loads nothing beyond numpy and the standard library.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name counts as used when the module reads it as a name or
-lists it in ``__all__``.
+lists it in ``__all__``; an op counts as called when another module
+imports it from ``autograd``.
 """
 
 import ast
@@ -42,6 +44,55 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+# graph ops that no other module imports, each kept for a stated reason
+UNCALLED_OPS = {
+    "add",  # the reference that add_relu is tested against
+    "mul",  # reached through the Tensor operator * in gradcheck's projection
+    "tensor_sum",  # reached through Tensor.sum in gradcheck's projection
+    "im2col",  # a traced benchmark target until the benchmark drops it
+    "matmul",  # the same
+}
+
+
+def uncalled_ops(autograd_tree, other_trees):
+    """Functions of ``autograd`` that make graph nodes (call ``_make`` or
+    another such function) and that no other module imports."""
+    calls = {
+        node.name: {n.func.id for n in ast.walk(node)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        for node in autograd_tree.body if isinstance(node, ast.FunctionDef)
+    }
+    ops = {"_make"}
+    while True:
+        more = ops | {name for name, called in calls.items() if called & ops}
+        if more == ops:
+            break
+        ops = more
+    ops.discard("_make")
+    imported = {
+        alias.name for tree in other_trees for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "autograd"
+        for alias in node.names
+    }
+    return ops - imported
+
+
+def test_detects_an_uncalled_op():
+    autograd = ast.parse(
+        "def f(x):\n    return _make(x, (), None)\n"
+        "def g(x):\n    return _make(x, (), None)\n"
+        "def mean(x):\n    return f(x)\n"
+        "def h():\n    pass\n"
+    )
+    other = ast.parse("from .autograd import f, h\n")
+    assert uncalled_ops(autograd, [other]) == {"g", "mean"}
+
+
+def test_every_graph_op_has_a_caller():
+    others = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "autograd.py"]
+    assert uncalled_ops(ast.parse((SRC / "autograd.py").read_text()), others) == UNCALLED_OPS
 
 
 def test_cli_runs_without_scipy():

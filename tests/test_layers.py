@@ -161,17 +161,21 @@ class TestConv2dSame:
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 3, 5, 5))), p)
 
-    def test_baseline_unet_train_step_node_count(self, made_nodes):
+    # every layer, dropout and the loss included, is one node
+    @pytest.mark.parametrize("variant,bound", [("proposed", 96), ("baseline-unet", 78)])
+    def test_train_step_node_count(self, variant, bound, made_nodes):
         from sepseg.metrics import ClassWeights, weighted_cross_entropy
         from sepseg.model import ModelSpec, build_model, forward
 
-        model = build_model(ModelSpec(variant="baseline-unet", base_depth=8), Rng(0, 0))
+        model = build_model(ModelSpec(variant=variant, base_depth=8), Rng(0, 0))
         x = Tensor(np.random.default_rng(4).normal(size=(4, 1, 64, 64)).astype(np.float32))
         labels = np.random.default_rng(1).integers(0, 2, (4, 64, 64))
         probs = forward(model, x, "train", rng=Rng(0, 1))
         weighted_cross_entropy(probs, labels, ClassWeights([1.0, 1.0]))
-        # each of the 18 k x k convs is one node: 84 nodes in all
-        assert sum(linked for _, linked in made_nodes) <= 90
+        linked = [t for t, is_linked in made_nodes if is_linked]
+        assert len(linked) <= bound
+        kinds = {t._backward.__qualname__.split(".<locals>")[0] for t in linked}
+        assert kinds.isdisjoint({"mul", "tensor_sum"})
 
 
 def _depthwise_einsum_oracle(x, weight, bias, pad):
@@ -541,9 +545,9 @@ class TestConv1x1:
             if fast:
                 out = conv2d(x, Conv2dParams(w, b))
             else:  # the general path: im2col + matmul + transpose + bias
-                cols = matmul(w.reshape(c_out, c_in), im2col(x, 1))
-                out = cols.reshape(c_out, n, side, side).transpose(1, 0, 2, 3)
-                out = out + b.reshape(1, c_out, 1, 1)
+                cols = matmul(_reshape(w, (c_out, c_in)), im2col(x, 1))
+                out = _transpose(_reshape(cols, (c_out, n, side, side)), (1, 0, 2, 3))
+                out = out + _reshape(b, (1, c_out, 1, 1))
             backward((out * g).sum())
             return out.data, x.grad, w.grad, b.grad
 
@@ -795,14 +799,41 @@ def _power(x, p):
     return _make(x.data**p, (x,), bwd)
 
 
+# the reshape, transpose and mean that autograd provided until no layer
+# composed them any more; the batch-norm, 1x1-conv and loss oracles still do
+
+
+def _reshape(x, shape):
+    old_shape = x.shape
+
+    def bwd(g):
+        _accum(x, g.reshape(old_shape))
+
+    return _make(x.data.reshape(shape), (x,), bwd)
+
+
+def _transpose(x, axes):
+    inv = np.argsort(axes)
+
+    def bwd(g):
+        _accum(x, g.transpose(inv))
+
+    return _make(x.data.transpose(axes), (x,), bwd)
+
+
+def _mean(x, axis=None, keepdims=False):
+    count = x.size if axis is None else int(np.prod([x.shape[i] for i in axis]))
+    return x.sum(axis, keepdims) * (1.0 / count)
+
+
 def _batch_norm_primitive_oracle(x, p, mode):
     """The seed's train-mode batch norm, one primitive node per step."""
     assert mode == "train"
     n, c, h, w = x.shape
-    gamma = p.gamma.reshape(1, c, 1, 1)
-    beta = p.beta.reshape(1, c, 1, 1)
-    mu = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = _power(_sub(x, mu), 2).mean(axis=(0, 2, 3), keepdims=True)
+    gamma = _reshape(p.gamma, (1, c, 1, 1))
+    beta = _reshape(p.beta, (1, c, 1, 1))
+    mu = _mean(x, (0, 2, 3), keepdims=True)
+    var = _mean(_power(_sub(x, mu), 2), (0, 2, 3), keepdims=True)
     m = p.momentum
     p.running_mean = ((1 - m) * p.running_mean + m * mu.data.reshape(c)).astype(
         p.running_mean.dtype
@@ -888,6 +919,67 @@ class TestBatchNormTrainOneNode:
         fused = step()
         monkeypatch.setattr(model_module, "batch_norm", _batch_norm_primitive_oracle)
         _assert_bits_equal(fused, step())
+
+
+def _log_clamped(x, floor=1e-12):
+    clamped = np.maximum(x.data, floor)
+
+    def bwd(g):
+        _accum(x, np.where(x.data >= floor, g / clamped, 0.0))
+
+    return _make(np.log(clamped), (x,), bwd)
+
+
+def _weighted_ce_chain_oracle(probs, labels, weights):
+    """The loss as the seven primitive nodes it was built from: 4 mul,
+    2 sum and a clamped log."""
+    n, c, h, w = probs.shape
+    onehot = np.zeros((n, c, h, w), dtype=probs.dtype)
+    np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
+    pixel_w = weights.w.astype(probs.dtype)[labels][:, None]
+    picked = (probs * Tensor(onehot)).sum(axis=1, keepdims=True)
+    return _mean(_log_clamped(picked) * -1.0 * Tensor(pixel_w))
+
+
+class TestWeightedCrossEntropyOneNode:
+    """The loss is one node whose value, dtype and ``probs`` gradient equal
+    the seven-node chain's bit for bit."""
+
+    WEIGHTS = [0.4, 1.0, 2.5]
+
+    @staticmethod
+    def _probs_labels(dtype, scale):
+        rng = np.random.default_rng(int(scale * 10))
+        z = rng.normal(size=(2, 3, 6, 5)) * scale
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return (e / e.sum(axis=1, keepdims=True)).astype(dtype), rng.integers(0, 3, (2, 6, 5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 30.0])
+    @pytest.mark.parametrize("upstream", [1.0, 0.3])
+    def test_equals_chain(self, dtype, scale, upstream):
+        from sepseg.metrics import ClassWeights, weighted_cross_entropy
+
+        probs_np, labels = self._probs_labels(dtype, scale)
+        picked = np.take_along_axis(probs_np, labels[:, None], axis=1)
+        assert (picked < 1e-12).any() == (scale == 30.0)  # saturated picks hit the floor
+        runs = []
+        for loss_fn in (weighted_cross_entropy, _weighted_ce_chain_oracle):
+            probs = Tensor(probs_np, requires_grad=True)
+            loss = loss_fn(probs, labels, ClassWeights(self.WEIGHTS))
+            backward(loss if upstream == 1.0 else loss * Tensor(np.asarray(upstream, dtype)))
+            runs.append((loss.data, probs.grad))
+        _assert_bits_equal(*runs)
+        assert runs[0][0].dtype == dtype
+
+    def test_one_graph_node(self, made_nodes):
+        from sepseg.metrics import ClassWeights, weighted_cross_entropy
+
+        probs_np, labels = self._probs_labels(np.float32, 3.0)
+        probs = Tensor(probs_np, requires_grad=True)
+        loss = weighted_cross_entropy(probs, labels, ClassWeights(self.WEIGHTS))
+        assert [t for t, _ in made_nodes] == [loss]
+        assert loss._parents == (probs,)
 
 
 class TestBilinearUpsample:
@@ -1035,14 +1127,39 @@ class TestPixelShuffle:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.random.default_rng(0).normal(size=(4, 4)))
-        for mode in ("train", "infer"):
-            np.testing.assert_array_equal(
-                dropout(x, DropoutParams(0.0), mode, Rng(0)).data, x.data
-            )
+        np.testing.assert_array_equal(dropout(x, DropoutParams(0.0), "train", Rng(0)).data, x.data)
 
-    def test_infer_identity(self):
+    def test_train_mode_with_rng_only(self):
         x = Tensor(np.random.default_rng(1).normal(size=(4, 4)))
-        np.testing.assert_array_equal(dropout(x, DropoutParams(0.5), "infer").data, x.data)
+        with pytest.raises(ValueError):
+            dropout(x, DropoutParams(0.5), "infer", Rng(0))
+        with pytest.raises(ValueError):
+            dropout(x, DropoutParams(0.5), "train")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_mul_by_mask(self, dtype):
+        rng = np.random.default_rng(2)
+        x_np = rng.normal(size=(2, 3, 5, 4)).astype(dtype)
+        g = rng.normal(size=x_np.shape).astype(dtype)
+        p = DropoutParams(0.3)
+        runs = []
+        for fused in (True, False):
+            x = Tensor(x_np, requires_grad=True)
+            if fused:
+                out = dropout(x, p, "train", Rng(7))
+            else:  # the broadcasting mul it replaced
+                keep = (Rng(7).uniform(size=x.shape) >= p.rate).astype(x.dtype)
+                out = x * Tensor(keep / (1 - p.rate))
+            backward((out * Tensor(g)).sum())
+            runs.append((out.data, x.grad))
+        _assert_bits_equal(*runs)
+        assert (runs[0][0] == 0).any()
+
+    def test_one_graph_node(self, made_nodes):
+        x = Tensor(np.ones((2, 3, 4, 4), dtype=np.float32), requires_grad=True)
+        out = dropout(x, DropoutParams(0.3), "train", Rng(0))
+        assert [t for t, _ in made_nodes] == [out]
+        assert out._parents == (x,)
 
     def test_empirical_drop_fraction(self):
         x = Tensor(np.ones(1_000_000))
