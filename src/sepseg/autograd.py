@@ -20,6 +20,7 @@ import contextlib
 import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
+FD_STEP = 1e-5  # central-difference step of ``grad_check``
 
 
 class ShapeError(ValueError):
@@ -73,29 +74,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis, keepdims)
-
     def relu(self):
         return relu(self)
-
-
-def _wrap(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 _recording = True
@@ -152,36 +132,7 @@ def _unbroadcast(g, shape):
     return g
 
 
-# -- elementwise binary ops -------------------------------------------------
-
-
-def add(a, b):
-    a = _wrap(a, None if not isinstance(b, Tensor) else b.dtype)
-    b = _wrap(b, a.dtype)
-    _check_broadcast(a.shape, b.shape)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
-
-    return _make(a.data + b.data, (a, b), bwd)
-
-
-def mul(a, b):
-    a = _wrap(a, None if not isinstance(b, Tensor) else b.dtype)
-    b = _wrap(b, a.dtype)
-    _check_broadcast(a.shape, b.shape)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(a.data * b.data, (a, b), bwd)
-
-
-# -- elementwise unary ops --------------------------------------------------
+# -- elementwise ops --------------------------------------------------------
 
 
 def relu(x):
@@ -207,19 +158,7 @@ def add_relu(a, b):
     return _make(out, (a, b), bwd)
 
 
-# -- reductions and structure -----------------------------------------------
-
-
-def tensor_sum(x, axis=None, keepdims=False):
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.shape))
-
-    return _make(out_data, (x,), bwd)
+# -- structure -----------------------------------------------------------------
 
 
 def concat(tensors, axis):
@@ -345,11 +284,11 @@ def backward(root):
 # -- gradient checking --------------------------------------------------------
 
 
-def grad_check(f, x, eps=1e-5):
+def grad_check(f, x):
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` maps a Tensor to a scalar Tensor; ``x`` is evaluated in double
-    precision regardless of its incoming dtype.
+    precision regardless of its incoming dtype, with steps of ``FD_STEP``.
     """
     base = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
     xt = Tensor(base.copy(), requires_grad=True)
@@ -366,12 +305,12 @@ def grad_check(f, x, eps=1e-5):
     with no_grad():  # only the analytic pass above needs a graph
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_STEP
             fp = float(f(Tensor(base.copy())).data)
-            flat[i] = orig - eps
+            flat[i] = orig - FD_STEP
             fm = float(f(Tensor(base.copy())).data)
             flat[i] = orig
-            numeric[i] = (fp - fm) / (2 * eps)
+            numeric[i] = (fp - fm) / (2 * FD_STEP)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -23,6 +23,7 @@ CHECKPOINT_MAGIC = b"SSEG"
 CHECKPOINT_VERSION = 1
 
 NIFTI_DTYPES = {2: np.uint8, 4: np.int16, 16: np.float32}
+NEIGHBOR_SLICES = 2  # slices kept on each side of a lesion-bearing one
 
 
 class NiftiError(ValueError):
@@ -57,8 +58,8 @@ class SliceSample:
 def read_nifti(path) -> Volume:
     """Read an uncompressed single-file NIfTI-1 volume into HU voxels.
 
-    Every voxel is finite after scaling; a NaN or an Inf, stored or made by
-    the slope and intercept, raises ``NiftiError``."""
+    A dim past the third above 1 (a series), or a NaN or an Inf after scaling
+    (stored or made by the slope and intercept), raises ``NiftiError``."""
     with open(path, "rb") as fh:
         header = fh.read(348)
         if len(header) < 348:
@@ -95,6 +96,8 @@ def read_nifti(path) -> Volume:
     if slope == 0.0:
         slope = 1.0
 
+    if any(d > 1 for d in dim[4 : dim[0] + 1]):
+        raise NiftiError(f"dims {dim[1 : dim[0] + 1]}: only one 3-D volume per file is read")
     x, y = dim[1], dim[2]
     z = dim[3] if dim[0] >= 3 else 1
     if min(x, y, z) < 1:
@@ -127,17 +130,15 @@ def build_slice_dataset(
     window: WindowSpec = WindowSpec(),
     *,
     resize: int,
-    lesion_class: int = None,
-    neighbor_k: int = 2,
+    lesion_class: int,
 ):
     """Axial slices windowed, equalized and resized into SliceSamples.
 
     ``volumes`` and ``masks`` are mappings volume-id -> Volume; ordering
-    of the result is deterministic by (volume-id, slice-index). With a
-    ``lesion_class``, only lesion-bearing slices are kept, plus
-    ``neighbor_k`` neighbors on each side: slices holding a label at or
-    above the lesion class, so that a label above the last class still
-    reaches ``train``'s label check.
+    of the result is deterministic by (volume-id, slice-index). Only
+    lesion-bearing slices are kept, plus ``NEIGHBOR_SLICES`` neighbors on
+    each side: slices holding a label at or above ``lesion_class``, so that
+    a label above the last class still reaches ``train``'s label check.
     """
     samples = []
     for vid in sorted(volumes):
@@ -148,15 +149,11 @@ def build_slice_dataset(
         if vol.dims != msk.dims:
             raise DataError(f"volume {vid!r}: image dims {vol.dims} != mask dims {msk.dims}")
         z = vol.dims[2]
-        if lesion_class is not None:
-            lesion_z = {i for i in range(z) if np.any(msk.voxels[i] >= lesion_class)}
-            keep = set()
-            for i in lesion_z:
-                keep.update(range(max(0, i - neighbor_k), min(z, i + neighbor_k + 1)))
-            indices = sorted(keep)
-        else:
-            indices = range(z)
-        for i in indices:
+        keep = set()
+        for i in range(z):
+            if np.any(msk.voxels[i] >= lesion_class):
+                keep.update(range(max(0, i - NEIGHBOR_SLICES), min(z, i + NEIGHBOR_SLICES + 1)))
+        for i in sorted(keep):
             img = prepare_slice(vol.voxels[i], window, resize)
             m = resize_nearest(msk.voxels[i].astype(np.int64), resize)
             samples.append(SliceSample(img[None], m, str(vid), i))

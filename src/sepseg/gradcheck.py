@@ -5,8 +5,8 @@ ordered dict of float64 arrays keyed by the names the CLI prints; ``call``
 takes one Tensor per array, in that order, and returns the layer output.
 ``run_suite`` checks the analytic gradient of every array in turn against
 central differences, with the other arrays held fixed. A non-scalar output
-is reduced to a scalar by a fixed random projection, which the driver draws
-from the case's ``rng`` after the case's own draws.
+is reduced to a scalar by a fixed random projection (see ``project``),
+which the driver draws from the case's ``rng`` after the case's own draws.
 
 Draw order is part of a case: input first, then parameters, then fixed
 statistics, then the projection. Reordering the draws changes every number
@@ -20,7 +20,7 @@ import zlib
 
 import numpy as np
 
-from .autograd import Rng, Tensor, add_relu, concat, grad_check, no_grad
+from .autograd import Rng, Tensor, _accum, _make, add_relu, concat, grad_check, no_grad
 from .layers import (
     BatchNormParams,
     Conv2dParams,
@@ -127,17 +127,26 @@ LAYER_CASES = {
 BLOCK_CASES = {"resnet_block_8_16": _case_resnet_block}
 
 
+def project(out, proj):
+    """``(out * proj).sum()`` as one node, with the bits of the mul and sum nodes it replaced."""
+
+    def bwd(g):
+        _accum(out, np.broadcast_to(g, out.shape) * proj)
+
+    return _make((out.data * proj).sum(), (out,), bwd)
+
+
 def _check(call, arrays, rng):
     """(name, max relative error) for each array of one case instance."""
     with no_grad():
         shape = call(*map(Tensor, arrays.values())).shape
-    proj = Tensor(rng.normal(size=shape)) if shape else None
+    proj = rng.normal(size=shape) if shape else None
 
     def score(i, t):
         args = [Tensor(a) for a in arrays.values()]
         args[i] = t
         out = call(*args)
-        return out if proj is None else (out * proj).sum()
+        return out if proj is None else project(out, proj)
 
     return [(wrt, grad_check(lambda t: score(i, t), x)) for i, (wrt, x) in enumerate(arrays.items())]
 

@@ -34,7 +34,7 @@ exception, as are the k x k conv's input and weight gradients (see
 ``_conv2d_same``): per kernel row, k dot products of the flat input
 taps with the flat upstream gradient, whose wrapped columns are zeros. It
 agrees with the sliding-window einsum it replaced to float rounding,
-within the bound of summing n*ho*wo products in any order. Bilinear 2x
+within the bound of summing n*h*w products in any order. Bilinear 2x
 upsampling is closed form: each output is a fixed 0.25/0.75 pair of
 neighbours, computed on even and odd strided slices, and its adjoint
 gathers the same pairs without a scatter, in the order a scatter-add
@@ -60,6 +60,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autograd import Rng, ShapeError, Tensor, _accum, _make, _unbroadcast, relu
+
+BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
+BN_EPS = 1e-5  # added to the variance before its square root
 
 __all__ = [
     "Conv2dParams",
@@ -113,8 +116,6 @@ class BatchNormParams:
     beta: Tensor  # (C,)
     running_mean: np.ndarray = None
     running_var: np.ndarray = None
-    momentum: float = 0.1
-    eps: float = 1e-5
 
 
 @dataclass
@@ -312,16 +313,16 @@ def _conv2d_same(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 _DEPTHWISE_BLOCK = 1 << 16
 
 
-def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tensor:
-    """Per-channel k x k convolution, stride 1, spatial size preserved.
+def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Per-channel k x k convolution (k odd), stride 1, ``pad = (k - 1)/2``.
 
     Forward and input gradient are k*k shifted multiply-adds on a flat
     layout, one (batch, channel-slice) block of about ``_DEPTHWISE_BLOCK``
     elements at a time, so that each pass over a shift reads and writes
     cache rather than memory. The forward copies each block into a
     zero-bordered buffer of shape ``(channels, hp*wp + k - 1)``, each row one
-    channel's padded plane (``hp, wp = h + 2*pad, w + 2*pad``). Tap (i, j) is
-    then the contiguous span ``[i*wp + j : i*wp + j + ho*wp]``, and every
+    channel's padded plane (``hp, wp = h + k - 1, w + k - 1``). Tap (i, j) is
+    then the contiguous span ``[i*wp + j : i*wp + j + h*wp]``, and every
     multiply and add is one 2-D pass. The last k - 1 values of each wide
     output row wrap around into the next padded row; the bias add leaves
     them out of the output. The backward works on the same blocks, in
@@ -335,7 +336,7 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tens
     at k = 1 and 3 (only the sign of a zero may differ), and agrees to float
     rounding at other k. The input gradient is a gather with the bits of a
     scatter of the shifts in (i, j) order. ``g`` is copied into a flat buffer
-    bordered by k - 1 zeros, of row width ``gw = wo + 2*(k - 1)``. Input
+    bordered by k - 1 zeros, of row width ``gw = w + 2*(k - 1)``. Input
     (y, x) reads tap (i, j) at padded position (y + pad - i + k - 1,
     x + pad - j + k - 1), so tap (i, j) is span ``i*gw + j`` counted back
     from offset ``(pad + k - 1)*(gw + 1)``. Each input sums all k*k taps
@@ -346,13 +347,13 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tens
 
     The weight gradient is the one sum whose order is not kept. Each block
     of x goes into a zero-bordered flat buffer as in the forward, and g
-    into a ``(channels, ho, wp)`` buffer whose k - 1 wrapped columns stay
+    into a ``(channels, h, wp)`` buffer whose k - 1 wrapped columns stay
     zero. For kernel row i, ``einsum("ckl,cl->ck")`` of the taps
     ``i*wp .. i*wp + k - 1`` with the flat g gives the row's k dot
     products, added to a ``(c, k, k)`` accumulator image by image in batch
     order. With finite x the wrapped columns add zeros. Against the
     sliding-window einsum ``einsum("nchwij,nchw->cij")`` it replaced, each
-    entry differs by at most ``2*m*eps*sum|x*g|`` over its m = n*ho*wo
+    entry differs by at most ``2*m*eps*sum|x*g|`` over its m = n*h*w
     products, eps of the data's dtype.
     """
     n, c, h, w = x.shape
@@ -360,14 +361,13 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tens
     if cw != c or one != 1:
         raise ShapeError(f"depthwise weight {weight.shape} incompatible with input channels {c}")
     dw = weight.data.reshape(c, k, k)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    ho, wo = hp - k + 1, wp - k + 1
-    cb = min(c, max(1, _DEPTHWISE_BLOCK // (ho * wp)))
+    pad, hp, wp = (k - 1) // 2, h + k - 1, w + k - 1
+    cb = min(c, max(1, _DEPTHWISE_BLOCK // (h * wp)))
     blocks = [(b, slice(c0, c0 + cb), min(cb, c - c0)) for b in range(n) for c0 in range(0, c, cb)]
-    out_data = np.empty((n, c, ho, wo), dtype=np.result_type(x.data, dw))
+    out_data = np.empty((n, c, h, w), dtype=np.result_type(x.data, dw))
     xf = np.zeros((cb, hp * wp + k - 1), dtype=x.dtype)
-    taps = sliding_window_view(xf, ho * wp, axis=1)
-    acc, row, tmp = np.empty((3, cb, ho * wp), dtype=out_data.dtype)
+    taps = sliding_window_view(xf, h * wp, axis=1)
+    acc, row, tmp = np.empty((3, cb, h * wp), dtype=out_data.dtype)
     for b, cs, m in blocks:
         xf[:m, : hp * wp].reshape(m, hp, wp)[:, pad : pad + h, pad : pad + w] = x.data[b, cs]
         a, r, t = acc[:m], row[:m], tmp[:m]
@@ -377,29 +377,29 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tens
                 ri += np.multiply(taps[:m, i * wp + j], dw[cs, i, j, None], out=t)
             if i:
                 a += r
-        np.add(a.reshape(m, ho, wp)[:, :, :wo], bias.data[cs, None, None], out=out_data[b, cs])
+        np.add(a.reshape(m, h, wp)[:, :, :w], bias.data[cs, None, None], out=out_data[b, cs])
 
     def bwd(g):
         xb = np.zeros((cb, hp * wp + k - 1), dtype=x.dtype)
-        xtaps = sliding_window_view(xb, ho * wp, axis=1)
-        gb = np.zeros((cb, ho, wp), dtype=g.dtype)
+        xtaps = sliding_window_view(xb, h * wp, axis=1)
+        gb = np.zeros((cb, h, wp), dtype=g.dtype)
         gwt = np.zeros((c, k, k), dtype=np.result_type(x.data, g))
         for b, cs, m in blocks:
             xb[:m, : hp * wp].reshape(m, hp, wp)[:, pad : pad + h, pad : pad + w] = x.data[b, cs]
-            gb[:m, :, :wo] = g[b, cs]
-            gm = gb[:m].reshape(m, ho * wp)
+            gb[:m, :, :w] = g[b, cs]
+            gm = gb[:m].reshape(m, h * wp)
             for i in range(k):
                 gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, i * wp : i * wp + k], gm)
         _accum(weight, gwt.reshape(c, 1, k, k))
         _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gh, gw, e = ho + 2 * k - 2, wo + 2 * k - 2, k - 1
+            gh, gw, e = h + 2 * k - 2, w + 2 * k - 2, k - 1
             gf = np.zeros((cb, gh * gw + e), dtype=g.dtype)
             gtaps = sliding_window_view(gf, h * gw, axis=1)[:, (pad + e) * (gw + 1) :: -1]
             gx, acc = np.empty((n, c, h, w), x.dtype), np.empty((cb, h * gw), x.dtype)
             prod = np.empty((cb, h * gw), dtype=np.result_type(g, dw))
             for b, cs, m in blocks:
-                gf[:m, : gh * gw].reshape(m, gh, gw)[:, e : e + ho, e : e + wo] = g[b, cs]
+                gf[:m, : gh * gw].reshape(m, gh, gw)[:, e : e + h, e : e + w] = g[b, cs]
                 a = acc[:m]
                 a.fill(0)
                 for i, j in np.ndindex(k, k):
@@ -412,8 +412,7 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int) -> Tens
 
 def separable_conv2d(x: Tensor, p: SeparableConv2dParams) -> Tensor:
     """Depthwise spatial convolution followed by 1x1 pointwise mixing."""
-    k = p.depthwise_weight.shape[2]
-    mid = _depthwise_conv2d(x, p.depthwise_weight, p.depthwise_bias, (k - 1) // 2)
+    mid = _depthwise_conv2d(x, p.depthwise_weight, p.depthwise_bias)
     return conv2d(mid, Conv2dParams(p.pointwise_weight, p.pointwise_bias))
 
 
@@ -448,10 +447,10 @@ def _batch_norm_train(x: Tensor, p: BatchNormParams) -> Tensor:
     mu = x.data.sum(axis=(0, 2, 3), keepdims=True) * inv_count
     d = x.data - mu
     var = (d**2).sum(axis=(0, 2, 3), keepdims=True) * inv_count
-    m = p.momentum
+    m = BN_MOMENTUM
     p.running_mean = ((1 - m) * p.running_mean + m * mu.reshape(c)).astype(p.running_mean.dtype)
     p.running_var = ((1 - m) * p.running_var + m * var.reshape(c)).astype(p.running_var.dtype)
-    ve = var + np.asarray(p.eps, dtype=x.dtype)
+    ve = var + np.asarray(BN_EPS, dtype=x.dtype)
     sd = ve**0.5
     xhat = d / sd
     out_data = xhat * gamma.data.reshape(stat) + beta.data.reshape(stat)
@@ -485,7 +484,7 @@ def _batch_norm_infer(x: Tensor, p: BatchNormParams) -> Tensor:
     """
     c = x.shape[1]
     gamma, beta, mean = p.gamma, p.beta, p.running_mean
-    std = np.sqrt(p.running_var + p.eps)
+    std = np.sqrt(p.running_var + BN_EPS)
     scale = gamma.data / std
     shift = beta.data - mean * scale
     out_data = x.data * scale.reshape(1, c, 1, 1)

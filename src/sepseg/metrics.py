@@ -13,6 +13,8 @@ import numpy as np
 
 from .autograd import ShapeError, Tensor, _accum, _make
 
+WEIGHT_CLAMP = (0.1, 10.0)  # bounds of a class weight after normalization
+
 
 @dataclass
 class ConfusionCounts:
@@ -125,7 +127,7 @@ def probs_to_mask(probs, lesion_class: int):
     return mask.astype(np.uint8)
 
 
-def inverse_frequency_weights(labels_iter, num_classes, clamp=(0.1, 10.0)) -> ClassWeights:
+def inverse_frequency_weights(labels_iter, num_classes) -> ClassWeights:
     """Inverse-class-frequency weights, normalized to mean 1 and clamped.
 
     ``labels_iter`` yields integer label arrays (the training split).
@@ -137,4 +139,4 @@ def inverse_frequency_weights(labels_iter, num_classes, clamp=(0.1, 10.0)) -> Cl
     freq = np.where(counts > 0, counts / max(total, 1), 1.0)
     w = 1.0 / freq
     w = w / w.mean()
-    return ClassWeights(np.clip(w, clamp[0], clamp[1]))
+    return ClassWeights(np.clip(w, *WEIGHT_CLAMP))

@@ -15,6 +15,12 @@ import numpy as np
 
 from .autograd import Rng
 
+HISTOGRAM_BINS = 256
+MAX_ROTATION_DEGREES = 180.0
+ZOOM_FACTOR = 0.2  # scale drawn uniformly from [1 - z, 1 + z]
+ELASTIC_ALPHA = 10.0  # displacement strength, pixels
+ELASTIC_SIGMA = 4.0  # displacement smoothness, pixels
+
 
 @dataclass
 class WindowSpec:
@@ -26,21 +32,6 @@ class WindowSpec:
             raise ValueError(f"window low {self.low} must be below high {self.high}")
 
 
-@dataclass
-class AugmentSpec:
-    max_rotation_degrees: float = 180.0
-    zoom_factor: float = 0.2  # scale drawn uniformly from [1 - z, 1 + z]
-    elastic_alpha: float = 10.0  # displacement strength, pixels
-    elastic_sigma: float = 4.0  # displacement smoothness, pixels
-
-    def __post_init__(self):
-        if not 0.0 <= self.zoom_factor < 1.0:
-            raise ValueError(f"zoom factor must be in [0, 1), got {self.zoom_factor}")
-        if not 0.0 <= self.max_rotation_degrees <= 180.0:
-            raise ValueError(
-                f"max rotation must be in [0, 180], got {self.max_rotation_degrees}"
-            )
-
 
 def window_hu(x, w: WindowSpec = WindowSpec()):
     """Clamp to [low, high] HU and map affinely to [0, 1]."""
@@ -48,26 +39,24 @@ def window_hu(x, w: WindowSpec = WindowSpec()):
     return (np.clip(x, w.low, w.high) - w.low) / (w.high - w.low)
 
 
-def histogram_equalize(x, bins: int = 256):
+def histogram_equalize(x):
     """CDF-based contrast equalization on a [0, 1] image.
 
-    Quantizes to ``bins`` levels and maps level v to
+    Quantizes to ``HISTOGRAM_BINS`` levels and maps level v to
     (cdf(v) - cdf_min) / (N - cdf_min), rescaled back to [0, 1]. The
     mapping is monotone non-decreasing; a constant image is returned
     unchanged (degenerate cdf).
     """
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
     x = np.asarray(x, dtype=np.float32)
-    levels = np.floor(x * (bins - 1) + 0.5).astype(np.int64)  # round half up
-    hist = np.bincount(levels.ravel(), minlength=bins)
+    levels = np.floor(x * (HISTOGRAM_BINS - 1) + 0.5).astype(np.int64)  # round half up
+    hist = np.bincount(levels.ravel(), minlength=HISTOGRAM_BINS)
     cdf = np.cumsum(hist)
     cdf_min = cdf[np.nonzero(hist)[0][0]]
     n = levels.size
     if n == cdf_min:
         return x.copy()
-    mapped = np.floor((cdf - cdf_min) / (n - cdf_min) * (bins - 1) + 0.5)
-    return (mapped[levels] / (bins - 1)).astype(np.float32)
+    mapped = np.floor((cdf - cdf_min) / (n - cdf_min) * (HISTOGRAM_BINS - 1) + 0.5)
+    return (mapped[levels] / (HISTOGRAM_BINS - 1)).astype(np.float32)
 
 
 def _linear_resample_coeffs(src, dst):
@@ -154,8 +143,8 @@ def rotate_pair(image, mask, angle_degrees: float):
     return _warp_pair(image, mask, sy, sx)
 
 
-def random_rotate(image, mask, spec: AugmentSpec, rng: Rng):
-    angle = rng.uniform(-spec.max_rotation_degrees, spec.max_rotation_degrees)
+def random_rotate(image, mask, rng: Rng):
+    angle = rng.uniform(-MAX_ROTATION_DEGREES, MAX_ROTATION_DEGREES)
     return rotate_pair(image, mask, angle)
 
 
@@ -190,19 +179,15 @@ def gaussian_filter(x, sigma: float):
     return x
 
 
-def elastic_deform(image, mask, spec: AugmentSpec, rng: Rng):
+def elastic_deform(image, mask, rng: Rng):
     """Center zoom by s ~ U(1-z, 1+z) composed with a smooth random
     displacement field (Gaussian noise * alpha, blurred with sigma)."""
     h, w = image.shape
-    z = spec.zoom_factor
-    scale = rng.uniform(1.0 - z, 1.0 + z)
-    if spec.elastic_alpha > 0:
-        noise_y = rng.normal(size=(h, w))
-        noise_x = rng.normal(size=(h, w))
-        dy = gaussian_filter(noise_y, spec.elastic_sigma) * spec.elastic_alpha
-        dx = gaussian_filter(noise_x, spec.elastic_sigma) * spec.elastic_alpha
-    else:
-        dy = dx = np.zeros((h, w))
+    scale = rng.uniform(1.0 - ZOOM_FACTOR, 1.0 + ZOOM_FACTOR)
+    noise_y = rng.normal(size=(h, w))
+    noise_x = rng.normal(size=(h, w))
+    dy = gaussian_filter(noise_y, ELASTIC_SIGMA) * ELASTIC_ALPHA
+    dx = gaussian_filter(noise_x, ELASTIC_SIGMA) * ELASTIC_ALPHA
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64),
                          indexing="ij")
@@ -211,7 +196,7 @@ def elastic_deform(image, mask, spec: AugmentSpec, rng: Rng):
     return _warp_pair(image, mask, sy, sx)
 
 
-def augment_pair(image, mask, spec: AugmentSpec, rng: Rng):
+def augment_pair(image, mask, rng: Rng):
     """Full augmentation: random rotation then elastic/zoom deformation."""
-    image, mask = random_rotate(image, mask, spec, rng)
-    return elastic_deform(image, mask, spec, rng)
+    image, mask = random_rotate(image, mask, rng)
+    return elastic_deform(image, mask, rng)

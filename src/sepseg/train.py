@@ -25,9 +25,12 @@ from .metrics import (
     weighted_cross_entropy,
 )
 from .model import ModelSpec, build_model, forward, predict_masks
-from .preprocess import AugmentSpec, augment_pair
+from .preprocess import augment_pair
 
 GRAD_CLIP = 5.0  # global gradient-norm bound
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class NumericError(RuntimeError):
@@ -59,9 +62,6 @@ class TrainConfig:
 @dataclass
 class AdamState:
     lr: float = TrainConfig.lr
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -72,8 +72,8 @@ def adam_step(params, state: AdamState):
     each tensor's ``grad`` and reset afterwards."""
     state.t += 1
     t = state.t
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -83,23 +83,23 @@ def adam_step(params, state: AdamState):
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.zero_grad()
 
 
-def clip_gradients(params, max_norm: float):
-    """Global-norm gradient clipping; returns the pre-clip norm."""
+def clip_gradients(params):
+    """Global-norm gradient clipping at ``GRAD_CLIP``; returns the pre-clip norm."""
     sq = 0.0
     for p in params.values():
         if p.grad is not None:
             sq += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = float(np.sqrt(sq))
-    if norm > max_norm > 0:
-        scale = max_norm / norm
+    if norm > GRAD_CLIP:
+        scale = GRAD_CLIP / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad = p.grad * scale
@@ -157,12 +157,12 @@ def _draw_batch(train_set, lesion_idx, batch_size, rng, lesion_class):
     return [train_set[i] for i in idx]
 
 
-def _batch_arrays(batch, config, rng_aug, aug_spec):
+def _batch_arrays(batch, config, rng_aug):
     images, labels = [], []
     for slot, s in enumerate(batch):
         img, msk = s.image[0], s.mask
         if config.augment:
-            img, msk = augment_pair(img, msk, aug_spec, rng_aug.substream(slot))
+            img, msk = augment_pair(img, msk, rng_aug.substream(slot))
         images.append(img[None])
         labels.append(msk)
     return np.stack(images), np.stack(labels)
@@ -215,7 +215,6 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
     if not val_set:
         raise DataError("validation split is empty")
     _check_labels([*train_set, *val_set], model_spec.num_classes)
-    aug_spec = AugmentSpec()
     rng = Rng(config.seed)
     model = build_model(model_spec, rng.substream(0))
     weights = inverse_frequency_weights(
@@ -233,7 +232,7 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
         batch = _draw_batch(
             train_set, lesion_idx, config.batch_size, rng.substream(1, it), lesion,
         )
-        x_np, y_np = _batch_arrays(batch, config, rng.substream(2, it), aug_spec)
+        x_np, y_np = _batch_arrays(batch, config, rng.substream(2, it))
         x = Tensor(x_np)
         probs = forward(model, x, mode="train", rng=rng.substream(3, it))
         loss = weighted_cross_entropy(probs, y_np, weights)
@@ -244,7 +243,7 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
                 f"(batch volumes {[s.volume_id for s in batch]})"
             )
         backward(loss)
-        clip_gradients(params, GRAD_CLIP)
+        clip_gradients(params)
         adam_step(params, state)
 
         if it % config.eval_every == 0 or it == config.iterations:

@@ -1,40 +1,21 @@
 import numpy as np
 import pytest
 
+from reference_ops import add, mul, tensor_sum
 from sepseg.autograd import (
     Rng,
     _col2im_forward,
     ShapeError,
     Tensor,
-    add,
     add_relu,
     backward,
     grad_check,
     im2col,
     matmul,
-    mul,
     no_grad,
     relu,
 )
-
-
-def test_add_elementwise():
-    out = add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
-    np.testing.assert_array_equal(out.data, [4.0, 6.0])
-
-
-def test_mul_annihilator():
-    x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-    out = mul(x, Tensor(np.zeros_like(x.data)))
-    np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
-
-
-def test_add_backward_identity_jacobian():
-    a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    b = Tensor([4.0, 5.0, 6.0], requires_grad=True)
-    backward((a + b).sum())
-    np.testing.assert_array_equal(a.grad, np.ones(3))
-    np.testing.assert_array_equal(b.grad, np.ones(3))
+from sepseg.gradcheck import project
 
 
 def _add_relu_inputs(dtype, b_shape=None):
@@ -56,7 +37,7 @@ def test_add_relu_equals_relu_of_add(dtype, b_shape):
     def run(fused):
         a, b = Tensor(a_np, requires_grad=True), Tensor(b_np, requires_grad=True)
         out = add_relu(a, b) if fused else relu(add(a, b))
-        backward((out * Tensor(g)).sum())
+        backward(project(out, g))
         return out.data, a.grad, b.grad
 
     for got, want in zip(run(True), run(False)):
@@ -75,14 +56,14 @@ def test_add_relu_is_one_node():
 
 def test_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError) as exc:
-        add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+        add_relu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
     assert "(2, 4)" in str(exc.value) and "(2, 3)" in str(exc.value)
 
 
 def test_broadcast_size_one_axes():
     a = Tensor(np.ones((2, 3, 4)), requires_grad=True)
     b = Tensor(np.arange(3.0).reshape(1, 3, 1), requires_grad=True)
-    backward((a * b).sum())
+    backward(project(add_relu(a, b), np.ones((2, 3, 4))))
     assert b.grad.shape == (1, 3, 1)
     np.testing.assert_array_equal(b.grad.ravel(), [8.0, 8.0, 8.0])
 
@@ -165,7 +146,7 @@ def test_im2col_col2im_adjoint():
     cols = im2col(x, 3, 1, 1)
     y = Tensor(rng.normal(size=cols.shape), dtype=np.float64)
     lhs = float((cols.data * y.data).sum())
-    backward((cols * y).sum())  # im2col's backward applies col2im to y
+    backward(project(cols, y.data))  # im2col's backward applies col2im to y
     rhs = float((x.data * x.grad).sum())
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
@@ -208,35 +189,35 @@ def test_col2im_equals_scatter_oracle(k, stride, pad):
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.random.default_rng(0).normal(size=(4, 4)), requires_grad=True)
-    backward(x.sum())
+    backward(tensor_sum(x))
     np.testing.assert_array_equal(x.grad, np.ones((4, 4)))
 
 
 def test_backward_square_gives_2x():
     x = Tensor(np.random.default_rng(1).normal(size=(3, 3)), requires_grad=True)
-    backward((x * x).sum())
+    backward(tensor_sum(mul(x, x)))
     np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-6)
 
 
 def test_backward_fanout_sums_branches():
     x = Tensor([2.0], requires_grad=True)
-    y = x * 3.0 + x * x  # x used twice: grad = 3 + 2x = 7
-    backward(y.sum())
+    y = add(mul(x, 3.0), mul(x, x))  # x used twice: grad = 3 + 2x = 7
+    backward(tensor_sum(y))
     np.testing.assert_allclose(x.grad, [7.0])
 
 
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
-        backward(x + x)
+        backward(relu(x))
 
 
 def test_no_grad_ops_record_nothing():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
-        y = (x * 2.0 + x).sum()
+        y = tensor_sum(add(mul(x, 2.0), x))
     assert not y.requires_grad and y._parents == () and y._backward is None
-    z = (x * 2.0).sum()
+    z = tensor_sum(mul(x, 2.0))
     assert z.requires_grad and z._parents
 
 
@@ -245,34 +226,34 @@ def test_nested_no_grad_restores_the_outer_state():
     with no_grad():
         with no_grad():
             pass
-        assert not (x * 2.0).requires_grad
-    assert (x * 2.0).requires_grad
+        assert not mul(x, 2.0).requires_grad
+    assert mul(x, 2.0).requires_grad
 
 
 def test_second_backward_raises_and_a_fresh_graph_works():
     x = Tensor([2.0], requires_grad=True)
-    loss = (x * x).sum()
+    loss = tensor_sum(mul(x, x))
     backward(loss)
     with pytest.raises(RuntimeError, match="already released"):
         backward(loss)
     x.zero_grad()
-    backward((x * x).sum())
+    backward(tensor_sum(mul(x, x)))
     np.testing.assert_allclose(x.grad, [4.0])
 
 
 def test_grad_check_linear_is_exact():
     x = Tensor(np.random.default_rng(5).normal(size=(4,)), dtype=np.float64)
-    assert grad_check(lambda t: t.sum(), x) <= 1e-10
+    assert grad_check(tensor_sum, x) <= 1e-10
 
 
 def test_grad_check_composite_ops():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
     w = Tensor(rng.normal(size=(4, 2)), dtype=np.float64)
-    proj = Tensor(rng.normal(size=(3, 2)), dtype=np.float64)
+    proj = rng.normal(size=(3, 2))
 
     def f(t):
-        return (matmul(t, w).relu() * proj).sum()
+        return project(matmul(t, w).relu(), proj)
 
     assert grad_check(f, x) <= 1e-4
 
@@ -280,18 +261,59 @@ def test_grad_check_composite_ops():
 def test_grad_check_links_only_the_analytic_pass(made_nodes):
     rng = np.random.default_rng(3)
     w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    proj = Tensor(rng.normal(size=(2, 2)))
+    proj = rng.normal(size=(2, 2))
 
     def f(t):
-        return (matmul(t, w).relu() * proj).sum()
+        return project(matmul(t, w).relu(), proj)
 
     x = Tensor(rng.normal(size=(2, 3)))
     grad_check(f, x)
-    per_forward = 4  # matmul, relu, mul, sum
+    per_forward = 3  # matmul, relu, projection
     assert len(made_nodes) == per_forward * (1 + 2 * x.size)
     assert [linked for _, linked in made_nodes] == [True] * per_forward + [False] * (
         2 * x.size * per_forward
     )
+
+
+class TestProjection:
+    """gradcheck's projection ``(out * proj).sum()`` is one node with the
+    bits of the multiply and sum nodes it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("upstream", [1.0, 0.3])
+    def test_equals_mul_then_sum(self, dtype, upstream):
+        rng = np.random.default_rng(12)
+        x_np, proj = (rng.normal(size=(2, 3, 4, 5)).astype(dtype) for _ in range(2))
+        x_np[0, 0, 0, :2] = proj[0, 0, 1, :2] = [-0.0, 0.0]
+        proj[1, 2, 3, 4] = x_np[1, 2, 3, 4] = -0.0
+        runs = []
+        for reduce in (project, lambda out, p: tensor_sum(mul(out, Tensor(p)))):
+            x = Tensor(x_np, requires_grad=True)
+            y = reduce(x, proj)
+            backward(y if upstream == 1.0 else mul(y, Tensor(np.asarray(upstream, dtype))))
+            runs.append((y.data, x.grad))
+        assert runs[0][0].dtype == runs[0][1].dtype == dtype
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_one_graph_node(self, made_nodes):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = project(x, np.full((2, 3), 0.5))
+        assert [t for t, _ in made_nodes] == [y]
+        assert y._parents == (x,) and y.shape == () and float(y.data) == 3.0
+
+    def test_scalar_output_is_not_projected(self, monkeypatch):
+        from sepseg import gradcheck
+
+        shapes = []
+        monkeypatch.setattr(gradcheck, "project",
+                            lambda out, proj: shapes.append(out.shape) or project(out, proj))
+        arrays = {"input": np.random.default_rng(13).normal(size=(2, 3))}
+        gradcheck._check(lambda t: tensor_sum(relu(t)), arrays, Rng(0))
+        assert shapes == []
+        gradcheck._check(relu, arrays, Rng(0))
+        assert shapes and set(shapes) == {(2, 3)}
 
 
 def test_row_major_flat_index_property():

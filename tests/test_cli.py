@@ -314,6 +314,19 @@ class TestInferEval:
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")
 
+    def test_four_d_nifti_exit_2(self, tmp_path, config_path, untrained_ckpt, capsys):
+        nii = tmp_path / "volume.nii"
+        make_nifti(str(nii), np.zeros((6, 32, 32), dtype=np.int16))
+        blob = bytearray(nii.read_bytes())
+        struct.pack_into("<5h", blob, 40, 4, 32, 32, 2, 3)  # three 32x32x2 volumes
+        nii.write_bytes(bytes(blob))
+        code = main(["infer", "--config", config_path, "--checkpoint", str(untrained_ckpt),
+                     "--input", str(nii), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "only one 3-D volume" in err
+        assert not (tmp_path / "x").exists()
+
     @staticmethod
     def _nan_volume(path, slope=1.0):
         data = np.zeros((2, 32, 32), dtype=np.float32)

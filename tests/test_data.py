@@ -86,6 +86,21 @@ class TestNiftiReader:
         with pytest.raises(NiftiError, match="non-positive"):
             read_nifti(path)
 
+    @pytest.mark.parametrize("dim", [(4, 4, 4, 2, 3), (5, 4, 4, 2, 1, 3)])
+    def test_several_volumes_rejected(self, nifti_factory, dim):
+        # three 4x4x2 volumes, along dim[4] (a time series) or along dim[5]
+        path = nifti_factory("v.nii", np.arange(96, dtype=np.int16).reshape(6, 4, 4))
+        for i, d in enumerate(dim):
+            self._patch(path, 40 + 2 * i, "<h", d)
+        with pytest.raises(NiftiError, match="only one 3-D volume"):
+            read_nifti(path)
+
+    def test_trailing_unit_dims_accepted(self, nifti_factory):
+        data = np.arange(32, dtype=np.int16).reshape(2, 4, 4)
+        path = nifti_factory("v.nii", data)
+        self._patch(path, 40, "<h", 7)  # dim[4..7] are 1
+        np.testing.assert_array_equal(read_nifti(path).voxels, data)
+
     @pytest.mark.parametrize("vox_offset", [0.0, 348.0, float("nan"), float("inf")])
     def test_vox_offset_inside_header_rejected(self, nifti_factory, vox_offset):
         path = nifti_factory("v.nii", np.zeros((2, 3, 3), dtype=np.int16))
@@ -139,41 +154,32 @@ class TestSliceDataset:
         m = read_nifti(nifti_factory(f"segmentation-{name}.nii", mask))
         return v, m
 
-    def test_all_filter_keeps_every_slice(self, nifti_factory):
-        img, mask = _volume_pair()
-        v, m = self._read(nifti_factory, img, mask)
-        samples = build_slice_dataset({"0": v}, {"0": m}, resize=32)
-        assert len(samples) == 5
-        assert [s.slice_index for s in samples] == [0, 1, 2, 3, 4]
-
     def test_lesion_filter_empty_when_no_lesion(self, nifti_factory):
         img, mask = _volume_pair(lesion_slices=())
         v, m = self._read(nifti_factory, img, mask)
-        samples = build_slice_dataset({"0": v}, {"0": m}, resize=32,
-                                      lesion_class=1, neighbor_k=0)
+        samples = build_slice_dataset({"0": v}, {"0": m}, resize=32, lesion_class=1)
         assert samples == []
 
     def test_lesion_filter_with_neighbors(self, nifti_factory):
-        img, mask = _volume_pair(lesion_slices=(2,))
+        img, mask = _volume_pair(z=8, lesion_slices=(3,))
         v, m = self._read(nifti_factory, img, mask)
-        samples = build_slice_dataset({"0": v}, {"0": m}, resize=32,
-                                      lesion_class=1, neighbor_k=1)
-        assert [s.slice_index for s in samples] == [1, 2, 3]
+        samples = build_slice_dataset({"0": v}, {"0": m}, resize=32, lesion_class=1)
+        assert [s.slice_index for s in samples] == [1, 2, 3, 4, 5]
 
     def test_lesion_filter_keeps_the_lesion_class(self, nifti_factory):
-        img, mask = _volume_pair(z=7, lesion_slices=())
+        img, mask = _volume_pair(z=9, lesion_slices=())
         mask[:, 4:28, 4:28] = 1
-        mask[3, 8:16, 8:16] = 2
+        mask[4, 8:16, 8:16] = 2
         v, m = self._read(nifti_factory, img, mask)
         kept = [[s.slice_index for s in build_slice_dataset({"0": v}, {"0": m}, resize=32,
-                                                            lesion_class=c, neighbor_k=1)]
+                                                            lesion_class=c)]
                 for c in (2, 1)]
-        assert kept == [[2, 3, 4], list(range(7))]
+        assert kept == [[2, 3, 4, 5, 6], list(range(9))]
 
     def test_pipeline_value_ranges(self, nifti_factory):
         img, mask = _volume_pair()
         v, m = self._read(nifti_factory, img, mask)
-        for s in build_slice_dataset({"0": v}, {"0": m}, resize=32):
+        for s in build_slice_dataset({"0": v}, {"0": m}, resize=32, lesion_class=1):
             assert s.image.min() >= 0.0 and s.image.max() <= 1.0
             assert set(np.unique(s.mask)) <= {0, 1}
 
@@ -181,7 +187,7 @@ class TestSliceDataset:
         img, mask = _volume_pair()
         v, _ = self._read(nifti_factory, img, mask)
         with pytest.raises(DataError, match="'0'"):
-            build_slice_dataset({"0": v}, {}, resize=32)
+            build_slice_dataset({"0": v}, {}, resize=32, lesion_class=1)
 
     def test_dim_mismatch(self, nifti_factory):
         img, _ = _volume_pair()
@@ -190,7 +196,7 @@ class TestSliceDataset:
             nifti_factory("segmentation-bad.nii", np.zeros((3, 32, 32), dtype=np.int16))
         )
         with pytest.raises(DataError, match="dims"):
-            build_slice_dataset({"0": v}, {"0": bad_mask}, resize=32)
+            build_slice_dataset({"0": v}, {"0": bad_mask}, resize=32, lesion_class=1)
 
 
 class TestPhantoms:

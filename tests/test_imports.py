@@ -1,11 +1,14 @@
 """Every module-level import in ``src/sepseg`` is used by its module,
-every graph op in ``autograd`` has a caller in another module, and the
-package loads nothing beyond numpy and the standard library.
+every graph op in ``autograd`` has a caller in another module, every
+defaulted parameter of a module-level function is passed by some call in
+``src/sepseg``, and the package loads nothing beyond numpy and the
+standard library.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name counts as used when the module reads it as a name or
 lists it in ``__all__``; an op counts as called when another module
-imports it from ``autograd``.
+imports it from ``autograd``; a parameter counts as passed when a call of
+a function of that name gives it by position or by keyword.
 """
 
 import ast
@@ -48,9 +51,6 @@ def test_no_unused_module_level_import(path):
 
 # graph ops that no other module imports, each kept for a stated reason
 UNCALLED_OPS = {
-    "add",  # the reference that add_relu is tested against
-    "mul",  # reached through the Tensor operator * in gradcheck's projection
-    "tensor_sum",  # reached through Tensor.sum in gradcheck's projection
     "im2col",  # a traced benchmark target until the benchmark drops it
     "matmul",  # the same
 }
@@ -93,6 +93,67 @@ def test_detects_an_uncalled_op():
 def test_every_graph_op_has_a_caller():
     others = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "autograd.py"]
     assert uncalled_ops(ast.parse((SRC / "autograd.py").read_text()), others) == UNCALLED_OPS
+
+
+# defaulted parameters that no call in src/sepseg passes, each kept for a
+# stated reason
+UNPASSED_DEFAULTS = {
+    ("cli", "main", "argv"),  # the entry point: the console script passes nothing
+    ("autograd", "im2col", "stride"),  # a traced benchmark target until the benchmark drops it
+    ("autograd", "im2col", "pad"),  # the same
+    ("model", "build_model", "dtype"),  # the float64 model test builds one
+}
+
+
+def _passes(call, index, param):
+    """Whether ``call`` gives ``param`` by keyword, or by position when
+    ``param`` is the ``index``-th positional parameter (``index`` is None
+    for a keyword-only one)."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+def unpassed_defaults(trees):
+    """``(module, function, parameter)`` for each defaulted parameter of a
+    module-level function in ``trees`` (module name -> ast) that no call in
+    ``trees`` passes. Calls match functions by name alone; a ``*args`` or
+    ``**kwargs`` argument passes every positional or keyword parameter."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unpassed = set()
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            first = len(positional) - len(a.defaults)
+            defaulted = [(i, p) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            unpassed.update((module, fn.name, param) for index, param in defaulted
+                            if not any(_passes(c, index, param) for c in calls.get(fn.name, [])))
+    return unpassed
+
+
+def test_detects_an_unpassed_default():
+    trees = {
+        "a": ast.parse("def f(x, y=1, *, z=None, w=2):\n    pass\n"
+                       "def g(p=0):\n    pass\n"
+                       "def h(q=0, r=1):\n    pass\n"),
+        "b": ast.parse("from .a import f, g\nf(1, 2)\nf(1, w=3)\nobj.g(*args)\nh(**kw)\n"),
+    }
+    assert unpassed_defaults(trees) == {("a", "f", "z")}
+
+
+def test_every_defaulted_parameter_is_passed():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert unpassed_defaults(trees) == UNPASSED_DEFAULTS
 
 
 def test_cli_runs_without_scipy():

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference_ops import add, mul, tensor_sum
+from sepseg import layers
 from sepseg.autograd import (
     Rng,
     ShapeError,
@@ -16,8 +18,11 @@ from sepseg.autograd import (
     matmul,
     no_grad,
 )
+from sepseg.gradcheck import project
 from sepseg.layers import (
     _DEPTHWISE_BLOCK,
+    BN_EPS,
+    BN_MOMENTUM,
     _depthwise_conv2d,
     _upsample2x_axis,
     _upsample2x_axis_adjoint,
@@ -118,8 +123,6 @@ class TestConv2dSame:
 
     @staticmethod
     def _case(monkeypatch, shape, k, seed):
-        from sepseg import layers
-
         n, c_in, c_out, h, w, rows = shape
         block = c_in * k * k * (w + k - 1)
         monkeypatch.setattr(layers, "_CONV_BLOCK", rows * block + block // 2)
@@ -144,7 +147,7 @@ class TestConv2dSame:
         x, w, b, g = self._case(monkeypatch, shape, k, seed=1)
         xt, wt, bt = (Tensor(a, dtype=np.float64, requires_grad=True) for a in (x, w, b))
         out = conv2d(xt, Conv2dParams(wt, bt))
-        backward((out * Tensor(g, dtype=np.float64)).sum())
+        backward(project(out, g))
         want = _im2col_conv_oracle(x, w, b, g)
         for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), want):
             assert got.dtype == np.float64
@@ -229,8 +232,8 @@ def _depthwise_case(shape, k, dtype, transposed=False):
     bias = rng.normal(size=c).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
     xt = Tensor(x, requires_grad=True)
-    out = _depthwise_conv2d(xt, Tensor(weight, requires_grad=True), Tensor(bias), (k - 1) // 2)
-    backward((out * Tensor(g)).sum())
+    out = _depthwise_conv2d(xt, Tensor(weight, requires_grad=True), Tensor(bias))
+    backward(project(out, g))
     return out.data, xt.grad, (x, weight, bias, g)
 
 
@@ -238,12 +241,13 @@ def _depthwise_case(shape, k, dtype, transposed=False):
 DEPTHWISE_SHAPES = [(2, 7, 129, 129), (4, 16, 64, 64), (1, 3, 5, 5), (3, 70, 4, 4)]
 
 
-def _depthwise_row_buffer_oracle(x, weight, bias, pad):
+def _depthwise_row_buffer_oracle(x, weight, bias):
     """The depthwise kernel before the flat layout: a row-buffer forward on
     (channels, rows, columns) blocks sized by ho*wo, and an input gradient
     that scatters the k*k shifts in (i, j) order into a zeroed padded copy."""
     n, c, h, w = x.shape
     k = weight.shape[2]
+    pad = (k - 1) // 2
     dw = weight.data.reshape(c, k, k)
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     cb = min(c, max(1, _DEPTHWISE_BLOCK // (ho * wo)))
@@ -290,8 +294,8 @@ def _depthwise_row_buffer_oracle(x, weight, bias, pad):
 def _depthwise_run(conv, x, weight, bias, g, k):
     """Output and input gradient of one call of ``conv`` with upstream ``g``."""
     xt = Tensor(x, requires_grad=True)
-    out = conv(xt, Tensor(weight, requires_grad=True), Tensor(bias), (k - 1) // 2)
-    backward((out * Tensor(g)).sum())
+    out = conv(xt, Tensor(weight, requires_grad=True), Tensor(bias))
+    backward(project(out, g))
     return out.data, xt.grad
 
 
@@ -411,12 +415,13 @@ class TestDepthwiseKernel:
         def step(conv):
             calls = {}  # weight tensor id -> (x, g, k, pad) of its depthwise call
 
-            def recording(xt, weight, bias, pad):
-                out = conv(xt, weight, bias, pad)
+            def recording(xt, weight, bias):
+                out = conv(xt, weight, bias)
                 bwd = out._backward
 
                 def recording_bwd(g):
-                    calls[id(weight)] = (xt.data, g, weight.shape[2], pad)
+                    k = weight.shape[2]
+                    calls[id(weight)] = (xt.data, g, k, (k - 1) // 2)
                     bwd(g)
 
                 out._backward = recording_bwd
@@ -458,8 +463,8 @@ class TestDepthwiseKernel:
         weight = Tensor(rng.normal(size=(shape[1], 1, k, k)).astype(np.float32),
                         requires_grad=True)
         pad = (k - 1) // 2
-        out = _depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(shape[1], np.float32)), pad)
-        backward((out * Tensor(g)).sum())
+        out = _depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(shape[1], np.float32)))
+        backward(project(out, g))
         assert weight.grad.dtype == np.float32
         want = _depthwise_weight_grad_oracle(x.astype(np.float64), g.astype(np.float64), k, pad)
         assert np.all(np.abs(weight.grad - want) <= _weight_grad_bound(x, g, k, pad, np.float32))
@@ -471,8 +476,8 @@ class TestDepthwiseKernel:
         x, g = rng.normal(size=shape), rng.normal(size=shape)
         weight = Tensor(rng.normal(size=(7, 1, k, k)), requires_grad=True)
         pad = (k - 1) // 2
-        out = _depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(7)), pad)
-        backward((out * Tensor(g)).sum())
+        out = _depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(7)))
+        backward(project(out, g))
         assert weight.grad.dtype == np.float64
         want = _depthwise_weight_grad_oracle(x, g, k, pad)
         assert np.all(np.abs(weight.grad - want) <= _weight_grad_bound(x, g, k, pad, np.float64))
@@ -484,8 +489,7 @@ class TestDepthwiseKernel:
         bias = Tensor(rng.normal(size=3))
 
         def f(weight):
-            out = _depthwise_conv2d(Tensor(x), weight, bias, (k - 1) // 2)
-            return (out * Tensor(proj)).sum()
+            return project(_depthwise_conv2d(Tensor(x), weight, bias), proj)
 
         assert grad_check(f, rng.normal(size=(3, 1, k, k))) <= 1e-4
 
@@ -498,7 +502,7 @@ class TestDepthwiseKernel:
         x = Tensor(rng.normal(size=(n, c, h, w)).astype(np.float32), requires_grad=x_grad)
         weight = Tensor(rng.normal(size=(c, 1, k, k)).astype(np.float32), requires_grad=True)
         bias = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
-        out = _depthwise_conv2d(x, weight, bias, 1)
+        out = _depthwise_conv2d(x, weight, bias)
         g = rng.normal(size=out.shape).astype(np.float32)
         tracemalloc.start()
         try:
@@ -521,7 +525,7 @@ class TestDepthwiseKernel:
         tracemalloc.start()
         try:
             with no_grad():
-                out = _depthwise_conv2d(x, weight, bias, 1)
+                out = _depthwise_conv2d(x, weight, bias)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -536,7 +540,7 @@ class TestConv1x1:
         x_np = rng.normal(size=(n, c_in, side, side)).astype(np.float32)
         w_np = rng.normal(size=(c_out, c_in, 1, 1)).astype(np.float32)
         b_np = rng.normal(size=c_out).astype(np.float32)
-        g = Tensor(rng.normal(size=(n, c_out, side, side)).astype(np.float32))
+        g = rng.normal(size=(n, c_out, side, side)).astype(np.float32)
 
         def run(fast):
             x = Tensor(x_np, requires_grad=True)
@@ -547,8 +551,8 @@ class TestConv1x1:
             else:  # the general path: im2col + matmul + transpose + bias
                 cols = matmul(_reshape(w, (c_out, c_in)), im2col(x, 1))
                 out = _transpose(_reshape(cols, (c_out, n, side, side)), (1, 0, 2, 3))
-                out = out + _reshape(b, (1, c_out, 1, 1))
-            backward((out * g).sum())
+                out = add(out, _reshape(b, (1, c_out, 1, 1)))
+            backward(project(out, g))
             return out.data, x.grad, w.grad, b.grad
 
         fast, ref = run(True), run(False)
@@ -611,9 +615,9 @@ class TestSeparableConv2d:
 
 
 class TestBatchNorm:
-    def test_infer_identity_statistics(self):
+    def test_infer_identity_statistics(self, monkeypatch):
+        monkeypatch.setattr(layers, "BN_EPS", 1e-12)
         p = init_batch_norm(3)
-        p.eps = 1e-12
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 4)))
         np.testing.assert_allclose(batch_norm(x, p, "infer").data, x.data, atol=1e-5)
 
@@ -624,9 +628,9 @@ class TestBatchNorm:
         assert np.abs(out.mean(axis=(0, 2, 3))).max() <= 1e-5
         assert np.abs(out.var(axis=(0, 2, 3)) - 1.0).max() <= 1e-4
 
-    def test_train_updates_running_stats(self):
+    def test_train_updates_running_stats(self, monkeypatch):
+        monkeypatch.setattr(layers, "BN_MOMENTUM", 0.5)
         p = init_batch_norm(2)
-        p.momentum = 0.5
         x = Tensor(np.full((2, 2, 2, 2), 4.0) + np.random.default_rng(0).normal(size=(2, 2, 2, 2)))
         batch_norm(x, p, "train")
         assert np.all(p.running_mean > 0.5)
@@ -649,7 +653,7 @@ class TestMaxPool:
     def test_backward_routes_to_argmax(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2),
                    requires_grad=True)
-        backward(max_pool_2x2(x).sum())
+        backward(tensor_sum(max_pool_2x2(x)))
         np.testing.assert_array_equal(x.grad.reshape(2, 2), [[0.0, 0.0], [0.0, 1.0]])
 
     def test_odd_dims_rejected(self):
@@ -677,7 +681,7 @@ def _max_pool_case(x):
                                               x.shape[3] // 2)).astype(x.dtype)
     xt = Tensor(x, requires_grad=True)
     out = max_pool_2x2(xt)
-    backward((out * Tensor(g)).sum())
+    backward(project(out, g))
     return (out.data, xt.grad), _max_pool_window_oracle(x, g)
 
 
@@ -742,7 +746,7 @@ class TestBatchNormInferFold:
         assert out.dtype == dtype
         mean, var = (a.reshape(1, -1, 1, 1) for a in (p.running_mean, p.running_var))
         gamma, beta = (a.data.reshape(1, -1, 1, 1) for a in (p.gamma, p.beta))
-        std = np.sqrt(var + dtype(p.eps))
+        std = np.sqrt(var + dtype(BN_EPS))
         want = (x - mean) / std * gamma + beta
         # each formula takes at most m = 7 rounded steps from the inputs, each
         # off by at most eps relative to the terms it combines, so the two
@@ -756,8 +760,8 @@ class TestBatchNormInferFold:
         xt = Tensor(x, requires_grad=True)
         out = batch_norm(xt, p, "infer")
         assert out._parents == (xt, p.gamma, p.beta)
-        backward(out.sum())
-        std = np.sqrt(p.running_var + p.eps).reshape(1, 3, 1, 1)
+        backward(tensor_sum(out))
+        std = np.sqrt(p.running_var + BN_EPS).reshape(1, 3, 1, 1)
         gamma = p.gamma.data.reshape(1, 3, 1, 1)
         np.testing.assert_allclose(xt.grad, np.broadcast_to(gamma / std, x.shape))
         np.testing.assert_allclose(p.beta.grad, np.full(3, x.size / 3))
@@ -801,6 +805,7 @@ def _power(x, p):
 
 # the reshape, transpose and mean that autograd provided until no layer
 # composed them any more; the batch-norm, 1x1-conv and loss oracles still do
+# (see reference_ops for add, mul and sum)
 
 
 def _reshape(x, shape):
@@ -823,7 +828,7 @@ def _transpose(x, axes):
 
 def _mean(x, axis=None, keepdims=False):
     count = x.size if axis is None else int(np.prod([x.shape[i] for i in axis]))
-    return x.sum(axis, keepdims) * (1.0 / count)
+    return mul(tensor_sum(x, axis, keepdims), 1.0 / count)
 
 
 def _batch_norm_primitive_oracle(x, p, mode):
@@ -834,15 +839,15 @@ def _batch_norm_primitive_oracle(x, p, mode):
     beta = _reshape(p.beta, (1, c, 1, 1))
     mu = _mean(x, (0, 2, 3), keepdims=True)
     var = _mean(_power(_sub(x, mu), 2), (0, 2, 3), keepdims=True)
-    m = p.momentum
+    m = BN_MOMENTUM
     p.running_mean = ((1 - m) * p.running_mean + m * mu.data.reshape(c)).astype(
         p.running_mean.dtype
     )
     p.running_var = ((1 - m) * p.running_var + m * var.data.reshape(c)).astype(
         p.running_var.dtype
     )
-    xhat = _div(_sub(x, mu), _power(var + p.eps, 0.5))
-    return xhat * gamma + beta
+    xhat = _div(_sub(x, mu), _power(add(var, BN_EPS), 0.5))
+    return add(mul(xhat, gamma), beta)
 
 
 def _batch_norm_train_run(norm, x, p, g, x_grad=True):
@@ -850,7 +855,7 @@ def _batch_norm_train_run(norm, x, p, g, x_grad=True):
     call of ``norm`` with upstream gradient ``g``."""
     xt = Tensor(x, requires_grad=x_grad)
     out = norm(xt, p, "train")
-    backward((out * Tensor(g)).sum())
+    backward(project(out, g))
     return out.data, xt.grad, p.gamma.grad, p.beta.grad, p.running_mean, p.running_var
 
 
@@ -937,8 +942,8 @@ def _weighted_ce_chain_oracle(probs, labels, weights):
     onehot = np.zeros((n, c, h, w), dtype=probs.dtype)
     np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
     pixel_w = weights.w.astype(probs.dtype)[labels][:, None]
-    picked = (probs * Tensor(onehot)).sum(axis=1, keepdims=True)
-    return _mean(_log_clamped(picked) * -1.0 * Tensor(pixel_w))
+    picked = tensor_sum(mul(probs, Tensor(onehot)), 1, True)
+    return _mean(mul(mul(_log_clamped(picked), -1.0), Tensor(pixel_w)))
 
 
 class TestWeightedCrossEntropyOneNode:
@@ -967,7 +972,7 @@ class TestWeightedCrossEntropyOneNode:
         for loss_fn in (weighted_cross_entropy, _weighted_ce_chain_oracle):
             probs = Tensor(probs_np, requires_grad=True)
             loss = loss_fn(probs, labels, ClassWeights(self.WEIGHTS))
-            backward(loss if upstream == 1.0 else loss * Tensor(np.asarray(upstream, dtype)))
+            backward(loss if upstream == 1.0 else mul(loss, Tensor(np.asarray(upstream, dtype))))
             runs.append((loss.data, probs.grad))
         _assert_bits_equal(*runs)
         assert runs[0][0].dtype == dtype
@@ -1082,7 +1087,7 @@ class TestBilinearClosedForm:
         x = Tensor(np.ones((1, 2, 3, 5), dtype=dtype), requires_grad=True)
         out = bilinear_upsample_2x(x)
         assert out.dtype == dtype
-        backward((out * Tensor(np.ones(out.shape, dtype=dtype))).sum())
+        backward(project(out, np.ones(out.shape, dtype=dtype)))
         assert x.grad.dtype == dtype
 
     @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (5, 4), (16, 9)])
@@ -1149,8 +1154,8 @@ class TestDropout:
                 out = dropout(x, p, "train", Rng(7))
             else:  # the broadcasting mul it replaced
                 keep = (Rng(7).uniform(size=x.shape) >= p.rate).astype(x.dtype)
-                out = x * Tensor(keep / (1 - p.rate))
-            backward((out * Tensor(g)).sum())
+                out = mul(x, Tensor(keep / (1 - p.rate)))
+            backward(project(out, g))
             runs.append((out.data, x.grad))
         _assert_bits_equal(*runs)
         assert (runs[0][0] == 0).any()

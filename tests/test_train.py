@@ -60,7 +60,7 @@ class TestAdam:
 
     def test_grad_clip_scales_to_max_norm(self):
         params = _scalar_param(0.0, 30.0)
-        norm = clip_gradients(params, 5.0)
+        norm = clip_gradients(params)
         assert norm == pytest.approx(30.0)
         assert abs(float(params["theta"].grad[0])) == pytest.approx(5.0)
 
