@@ -24,7 +24,6 @@ from .autograd import Rng, Tensor, _accum, _make, add_relu, concat, grad_check, 
 from .layers import (
     BatchNormParams,
     Conv2dParams,
-    DropoutParams,
     SeparableConv2dParams,
     batch_norm,
     bilinear_upsample_2x,
@@ -84,7 +83,7 @@ def _case_dropout(rng):
     x = rng.normal(size=(1, 2, 4, 4))
     # a fresh stream per call: every finite-difference forward draws the same mask
     seed = int(rng.integers(0, 2**31))
-    return lambda t: dropout(t, DropoutParams(0.25), "train", Rng(seed)), {"input": x}
+    return lambda t: dropout(t, 0.25, "train", Rng(seed)), {"input": x}
 
 
 def _case_weighted_ce(rng):

@@ -11,30 +11,23 @@ computes in float32 end to end and gradcheck's float64 stays float64.
 
 A separable convolution is a depthwise k x k pass, computed as
 cache-blocked shifted multiply-adds, and a 1x1 pointwise pass, computed as
-one matmul per image. The depthwise pass works on a flat layout: each
-channel's zero-bordered plane is one row of a buffer, so every kernel tap
-is one contiguous slice and every multiply-add one 2-D pass. Each output
-row then carries k - 1 wrapped-around values, which the bias add drops.
-A standard k x k convolution (k > 1) is row-blocked im2col on the same
-flat layout: per image, blocks of output rows whose k*k tap spans are
-copied into a column buffer of about ``_CONV_BLOCK`` elements, one GEMM
-each, with the weight matrix and K order of plain im2col; on OpenBLAS its
-forward has im2col's bits at the network's shapes. Its input gradient is
-the same kernel applied to the upstream gradient with the weights flipped
-180 degrees and transposed, the adjoint of a stride-1 same-padded
-correlation, so no col2im scatter runs. Every conv is one graph node. The
-other kernels keep the summation order of the plain formulation they
-replaced: the 1x1 path and the depthwise input gradient are bit-identical
-to it, and so is the depthwise forward at k = 1 and 3, up to the sign of
-a zero (see ``_depthwise_conv2d``). The depthwise input gradient gathers,
-for each input, all k*k taps from +0 in the order the scatter added the
-in-range ones; the extra taps are zeros, and a sum started at +0 is never
--0, so they change no bit. The depthwise weight gradient is a deliberate
-exception, as are the k x k conv's input and weight gradients (see
-``_conv2d_same``): per kernel row, k dot products of the flat input
-taps with the flat upstream gradient, whose wrapped columns are zeros. It
-agrees with the sliding-window einsum it replaced to float rounding,
-within the bound of summing n*h*w products in any order. Bilinear 2x
+one matmul per image. The depthwise pass and the standard k x k
+convolution (k > 1) both work on one flat row-padded layout (see
+``_padded_flat``), in which every kernel tap is one contiguous span and
+every multiply-add one 2-D pass. A standard k x k convolution is
+row-blocked im2col on that layout: per image, blocks of output rows whose
+k*k tap spans are copied into a column buffer of about ``_CONV_BLOCK``
+elements, one GEMM each, with the weight matrix and K order of plain
+im2col; on OpenBLAS its forward has im2col's bits at the network's shapes.
+Its input gradient is the same kernel applied to the upstream gradient
+with the weights flipped 180 degrees and transposed, the adjoint of a
+stride-1 same-padded correlation, so no col2im scatter runs. Every conv is
+one graph node. The other kernels keep the summation order of the plain
+formulation they replaced: the 1x1 path and the depthwise input gradient
+are bit-identical to it, and so is the depthwise forward at k = 1 and 3,
+up to the sign of a zero. The depthwise weight gradient and the k x k
+conv's input and weight gradients are deliberate exceptions that agree to
+float rounding (see ``_depthwise_conv2d`` and ``_conv2d_same``). Bilinear 2x
 upsampling is closed form: each output is a fixed 0.25/0.75 pair of
 neighbours, computed on even and odd strided slices, and its adjoint
 gathers the same pairs without a scatter, in the order a scatter-add
@@ -68,7 +61,6 @@ __all__ = [
     "Conv2dParams",
     "SeparableConv2dParams",
     "BatchNormParams",
-    "DropoutParams",
     "init_conv2d",
     "init_separable_conv2d",
     "init_batch_norm",
@@ -118,27 +110,18 @@ class BatchNormParams:
     running_var: np.ndarray = None
 
 
-@dataclass
-class DropoutParams:
-    rate: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.rate}")
-
-
 def _kaiming(rng: Rng, shape, fan_in, dtype):
     std = np.sqrt(2.0 / fan_in)
     return Tensor(rng.normal(0.0, std, shape).astype(dtype), requires_grad=True)
 
 
-def init_conv2d(c_in, c_out, k, rng, dtype=np.float32):
+def init_conv2d(c_in, c_out, k, rng, dtype):
     weight = _kaiming(rng, (c_out, c_in, k, k), c_in * k * k, dtype)
     bias = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
     return Conv2dParams(weight, bias)
 
 
-def init_separable_conv2d(c_in, c_out, k, rng, dtype=np.float32):
+def init_separable_conv2d(c_in, c_out, k, rng, dtype):
     dw = _kaiming(rng, (c_in, 1, k, k), k * k, dtype)
     db = Tensor(np.zeros(c_in, dtype=dtype), requires_grad=True)
     pw = _kaiming(rng, (c_out, c_in, 1, 1), c_in, dtype)
@@ -146,7 +129,7 @@ def init_separable_conv2d(c_in, c_out, k, rng, dtype=np.float32):
     return SeparableConv2dParams(dw, db, pw, pb)
 
 
-def init_batch_norm(c, dtype=np.float32):
+def init_batch_norm(c, dtype):
     return BatchNormParams(
         gamma=Tensor(np.ones(c, dtype=dtype), requires_grad=True),
         beta=Tensor(np.zeros(c, dtype=dtype), requires_grad=True),
@@ -215,28 +198,47 @@ def _block_rows(c, k, h, wp):
     return max(1, min(h, _CONV_BLOCK // (c * k * k * wp)))
 
 
+def _padded_flat(c, h, w, k, dtype):
+    """The flat row-padded layout of c planes of h x w for a k x k kernel
+    (k odd) with same padding: a zeroed buffer and its ``(c, h, w)``
+    interior view, which the caller fills.
+
+    The buffer has shape ``(c, hp*wp + k - 1)`` with ``hp, wp = h + k - 1,
+    w + k - 1``; each row is one plane bordered by ``pad = (k - 1)/2``
+    zeros on every side and flattened, plus k - 1 zeros that keep the last
+    tap's span inside the row. The m output rows from row r0 then read tap
+    (i, j) as the contiguous span ``(r0 + i)*wp + j`` of length ``m*wp``,
+    whose wide position y*wp + x holds plane position
+    (r0 + y + i - pad, x + j - pad) for x < w. The last k - 1 positions of
+    each wide row wrap around into the next padded row, and the caller
+    drops them. At the centre tap (pad, pad) they read only border zeros,
+    so that span is the planes themselves in wide rows whose k - 1 wrapped
+    columns are zero.
+    """
+    hp, wp, pad = h + k - 1, w + k - 1, (k - 1) // 2
+    buf = np.zeros((c, hp * wp + k - 1), dtype=dtype)
+    return buf, buf[:, : hp * wp].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + w]
+
+
 def _column_blocks(data, k):
     """Yield ``(b, rows, cols)`` for each block of output rows of each
     image of ``data`` (N, C, H, W), for a k x k kernel with same padding.
 
-    The image is copied once into a zero-bordered flat buffer of shape
-    ``(C, hp*wp + k - 1)`` (``hp, wp = H + k - 1, W + k - 1``), so the m
-    output rows of a block read tap (i, j) as the contiguous span
-    ``(r0 + i)*wp + j`` of length ``m*wp``. ``cols`` is the block's
-    ``(C*k*k, m*wp)`` im2col matrix, K in (c, i, j) order, filled with k*k
-    span copies; the last k - 1 columns of each of its m rows wrap around
-    into the next padded row. ``rows`` is the block's slice of output rows.
-    Blocks hold ``_block_rows`` rows, about ``_CONV_BLOCK`` elements of
-    ``cols``, and every block's ``cols`` is a view of one buffer that the
-    next block overwrites.
+    The image is copied once into the layout of ``_padded_flat``. ``cols``
+    is the block's ``(C*k*k, m*wp)`` im2col matrix (``wp = W + k - 1``),
+    K in (c, i, j) order, filled with k*k tap span copies, so the last
+    k - 1 columns of each of its m rows wrap around. ``rows`` is the
+    block's slice of output rows. Blocks hold ``_block_rows`` rows, about
+    ``_CONV_BLOCK`` elements of ``cols``, and every block's ``cols`` is a
+    view of one buffer that the next block overwrites.
     """
     n, c, h, w = data.shape
-    pad, hp, wp = (k - 1) // 2, h + k - 1, w + k - 1
+    wp = w + k - 1
     rows = _block_rows(c, k, h, wp)
-    xf = np.zeros((c, hp * wp + k - 1), dtype=data.dtype)
+    xf, inner = _padded_flat(c, h, w, k, data.dtype)
     buf = np.empty((c, k * k, rows * wp), dtype=data.dtype)
     for b in range(n):
-        xf[:, : hp * wp].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + w] = data[b]
+        inner[...] = data[b]
         for r0 in range(0, h, rows):
             m = min(rows, h - r0)
             cols = buf[:, :, : m * wp]
@@ -316,17 +318,13 @@ _DEPTHWISE_BLOCK = 1 << 16
 def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Per-channel k x k convolution (k odd), stride 1, ``pad = (k - 1)/2``.
 
-    Forward and input gradient are k*k shifted multiply-adds on a flat
-    layout, one (batch, channel-slice) block of about ``_DEPTHWISE_BLOCK``
-    elements at a time, so that each pass over a shift reads and writes
-    cache rather than memory. The forward copies each block into a
-    zero-bordered buffer of shape ``(channels, hp*wp + k - 1)``, each row one
-    channel's padded plane (``hp, wp = h + k - 1, w + k - 1``). Tap (i, j) is
-    then the contiguous span ``[i*wp + j : i*wp + j + h*wp]``, and every
-    multiply and add is one 2-D pass. The last k - 1 values of each wide
-    output row wrap around into the next padded row; the bias add leaves
-    them out of the output. The backward works on the same blocks, in
-    buffers of its own, so no pass pads or copies the whole activation.
+    Forward and backward work on one (batch, channel-slice) block of about
+    ``_DEPTHWISE_BLOCK`` elements at a time, so that each pass over a tap
+    reads and writes cache rather than memory. Each block is copied into
+    the layout of ``_padded_flat``, where every tap is one contiguous span;
+    the bias add leaves the wrapped columns out of the output. The backward
+    makes one pass over the blocks and copies each block of x and of g into
+    that layout once, so no pass pads or copies the whole activation.
 
     The summation order is part of the contract, because training amplifies
     last-ulp differences. The forward sums each kernel row left to right,
@@ -334,42 +332,41 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     then adds to it, in row order, then adds the bias: this equals
     ``einsum("nchwij,cij->nchw")`` over the sliding windows value for value
     at k = 1 and 3 (only the sign of a zero may differ), and agrees to float
-    rounding at other k. The input gradient is a gather with the bits of a
-    scatter of the shifts in (i, j) order. ``g`` is copied into a flat buffer
-    bordered by k - 1 zeros, of row width ``gw = w + 2*(k - 1)``. Input
-    (y, x) reads tap (i, j) at padded position (y + pad - i + k - 1,
-    x + pad - j + k - 1), so tap (i, j) is span ``i*gw + j`` counted back
-    from offset ``(pad + k - 1)*(gw + 1)``. Each input sums all k*k taps
-    from +0 in (i, j) order, where the scatter summed only those in range.
-    With finite weights the others are zeros, and a sum started at +0 is
-    never -0 in round-to-nearest, so adding them changes no bit, not even
-    the sign of a zero.
+    rounding at other k.
 
-    The weight gradient is the one sum whose order is not kept. Each block
-    of x goes into a zero-bordered flat buffer as in the forward, and g
-    into a ``(channels, h, wp)`` buffer whose k - 1 wrapped columns stay
-    zero. For kernel row i, ``einsum("ckl,cl->ck")`` of the taps
-    ``i*wp .. i*wp + k - 1`` with the flat g gives the row's k dot
-    products, added to a ``(c, k, k)`` accumulator image by image in batch
-    order. With finite x the wrapped columns add zeros. Against the
-    sliding-window einsum ``einsum("nchwij,nchw->cij")`` it replaced, each
-    entry differs by at most ``2*m*eps*sum|x*g|`` over its m = n*h*w
-    products, eps of the data's dtype.
+    The input gradient is a gather with the bits of a scatter of the shifts
+    in (i, j) order. For weight (i, j) it reads g's tap
+    (k - 1 - i, k - 1 - j), so input (y, x) reads g at padded position
+    (y + 2*pad - i, x + 2*pad - j). Each input sums all k*k taps from +0 in
+    (i, j) order, where the scatter summed only those in range. With finite
+    weights the others are zeros, and a sum started at +0 is never -0 in
+    round-to-nearest, so adding them changes no bit, not even the sign of a
+    zero.
+
+    The weight gradient is the one sum whose order is not kept. It reads g
+    as its centre tap, g in wide rows whose k - 1 wrapped columns are zero.
+    For kernel row i, ``einsum("ckl,cl->ck")`` of the x taps
+    ``i*wp .. i*wp + k - 1`` with that span gives the row's k dot products,
+    added to a ``(c, k, k)`` accumulator block by block in batch order. With
+    finite x the wrapped columns add zeros. Against the sliding-window einsum
+    ``einsum("nchwij,nchw->cij")`` it replaced, each entry differs by at
+    most ``2*m*eps*sum|x*g|`` over its m = n*h*w products, eps of the data's
+    dtype.
     """
     n, c, h, w = x.shape
     cw, one, k, _ = weight.shape
     if cw != c or one != 1:
         raise ShapeError(f"depthwise weight {weight.shape} incompatible with input channels {c}")
     dw = weight.data.reshape(c, k, k)
-    pad, hp, wp = (k - 1) // 2, h + k - 1, w + k - 1
+    pad, wp = (k - 1) // 2, w + k - 1
     cb = min(c, max(1, _DEPTHWISE_BLOCK // (h * wp)))
     blocks = [(b, slice(c0, c0 + cb), min(cb, c - c0)) for b in range(n) for c0 in range(0, c, cb)]
     out_data = np.empty((n, c, h, w), dtype=np.result_type(x.data, dw))
-    xf = np.zeros((cb, hp * wp + k - 1), dtype=x.dtype)
+    xf, x_in = _padded_flat(cb, h, w, k, x.dtype)
     taps = sliding_window_view(xf, h * wp, axis=1)
     acc, row, tmp = np.empty((3, cb, h * wp), dtype=out_data.dtype)
     for b, cs, m in blocks:
-        xf[:m, : hp * wp].reshape(m, hp, wp)[:, pad : pad + h, pad : pad + w] = x.data[b, cs]
+        x_in[:m] = x.data[b, cs]
         a, r, t = acc[:m], row[:m], tmp[:m]
         for i in range(k):
             ri = np.multiply(taps[:m, i * wp], dw[cs, i, 0, None], out=r if i else a)
@@ -380,31 +377,30 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         np.add(a.reshape(m, h, wp)[:, :, :w], bias.data[cs, None, None], out=out_data[b, cs])
 
     def bwd(g):
-        xb = np.zeros((cb, hp * wp + k - 1), dtype=x.dtype)
+        xb, xb_in = _padded_flat(cb, h, w, k, x.dtype)
+        gf, gf_in = _padded_flat(cb, h, w, k, g.dtype)
         xtaps = sliding_window_view(xb, h * wp, axis=1)
-        gb = np.zeros((cb, h, wp), dtype=g.dtype)
+        gtaps = sliding_window_view(gf, h * wp, axis=1)
         gwt = np.zeros((c, k, k), dtype=np.result_type(x.data, g))
+        if x.requires_grad:
+            gx, acc = np.empty((n, c, h, w), x.dtype), np.empty((cb, h * wp), x.dtype)
+            prod = np.empty((cb, h * wp), dtype=np.result_type(g, dw))
         for b, cs, m in blocks:
-            xb[:m, : hp * wp].reshape(m, hp, wp)[:, pad : pad + h, pad : pad + w] = x.data[b, cs]
-            gb[:m, :, :w] = g[b, cs]
-            gm = gb[:m].reshape(m, h * wp)
+            xb_in[:m] = x.data[b, cs]
+            gf_in[:m] = g[b, cs]
+            gm = gtaps[:m, pad * wp + pad]
             for i in range(k):
                 gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, i * wp : i * wp + k], gm)
-        _accum(weight, gwt.reshape(c, 1, k, k))
-        _accum(bias, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            gh, gw, e = h + 2 * k - 2, w + 2 * k - 2, k - 1
-            gf = np.zeros((cb, gh * gw + e), dtype=g.dtype)
-            gtaps = sliding_window_view(gf, h * gw, axis=1)[:, (pad + e) * (gw + 1) :: -1]
-            gx, acc = np.empty((n, c, h, w), x.dtype), np.empty((cb, h * gw), x.dtype)
-            prod = np.empty((cb, h * gw), dtype=np.result_type(g, dw))
-            for b, cs, m in blocks:
-                gf[:m, : gh * gw].reshape(m, gh, gw)[:, e : e + h, e : e + w] = g[b, cs]
+            if x.requires_grad:
                 a = acc[:m]
                 a.fill(0)
                 for i, j in np.ndindex(k, k):
-                    a += np.multiply(gtaps[:m, i * gw + j], dw[cs, i, j, None], out=prod[:m])
-                gx[b, cs] = a.reshape(m, h, gw)[:, :, :w]
+                    gt = gtaps[:m, (k - 1 - i) * wp + k - 1 - j]
+                    a += np.multiply(gt, dw[cs, i, j, None], out=prod[:m])
+                gx[b, cs] = a.reshape(m, h, wp)[:, :, :w]
+        _accum(weight, gwt.reshape(c, 1, k, k))
+        _accum(bias, g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
             _accum(x, gx)
 
     return _make(out_data.astype(x.dtype, copy=False), (x, weight, bias), bwd)
@@ -619,15 +615,16 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
-def dropout(x: Tensor, p: DropoutParams, mode: str, rng: Rng = None) -> Tensor:
+def dropout(x: Tensor, rate: float, mode: str, rng: Rng) -> Tensor:
     """Train-mode inverted dropout: zero each element with probability
-    ``p.rate`` and scale the survivors by 1 / (1 - rate). Only a train
-    forward calls it, so any other mode, or a missing ``rng``, is an error.
+    ``rate``, in [0, 1), and scale the survivors by 1 / (1 - rate). Only a
+    train forward calls it, so any other mode, or a missing ``rng``, is an
+    error.
     """
     if mode != "train" or rng is None:
         raise ValueError(f"dropout runs only in train mode with an Rng, got mode {mode!r}")
-    keep = (rng.uniform(size=x.shape) >= p.rate).astype(x.dtype)
-    mask = keep / (1.0 - p.rate)
+    keep = (rng.uniform(size=x.shape) >= rate).astype(x.dtype)
+    mask = keep / (1.0 - rate)
 
     def bwd(g):
         _accum(x, g * mask)

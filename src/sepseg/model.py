@@ -18,7 +18,6 @@ from .autograd import Rng, ShapeError, Tensor, add_relu, concat, no_grad
 from .layers import (
     BatchNormParams,
     Conv2dParams,
-    DropoutParams,
     SeparableConv2dParams,
     batch_norm,
     bilinear_upsample_2x,
@@ -59,7 +58,8 @@ class ModelSpec:
             raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        DropoutParams(self.dropout_rate)  # rejects a rate outside [0, 1)
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def lesion_class(self):
@@ -196,7 +196,7 @@ def resnet_block_forward(
     a = conv(h, params.conv1).relu()
     a = conv(a, params.conv2)
     if mode == "train" and dropout_rate > 0.0:
-        a = dropout(a, DropoutParams(dropout_rate), mode, rng)
+        a = dropout(a, dropout_rate, mode, rng)
     s = h if params.proj is None else conv2d(h, params.proj)
     return add_relu(a, s)
 

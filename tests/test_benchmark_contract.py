@@ -66,7 +66,7 @@ def test_separable_conv_reaches_both_halves_through_module_globals(monkeypatch):
 
     spy("_depthwise_conv2d", layers._depthwise_conv2d)
     spy("conv2d", layers.conv2d)
-    p = layers.init_separable_conv2d(3, 4, 3, Rng(0))
+    p = layers.init_separable_conv2d(3, 4, 3, Rng(0), np.float32)
     layers.separable_conv2d(Tensor(np.ones((1, 3, 8, 8), dtype=np.float32)), p)
     assert calls == ["_depthwise_conv2d", "conv2d"]
 

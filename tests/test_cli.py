@@ -112,7 +112,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("line", ["model.variant = foo", "folds = 1", "fold-index = 9",
                                       "data.window-low = 300", "data.resize = 30", "seed = -1",
-                                      "train.iterations = 0", "train.iterations = -3"])
+                                      "train.iterations = 0", "train.iterations = -3",
+                                      "train.dropout = 1"])
     def test_invalid_value_exit_1_names_its_line(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_CONFIG + line + "\n")

@@ -28,7 +28,6 @@ from sepseg.layers import (
     _upsample2x_axis_adjoint,
     BatchNormParams,
     Conv2dParams,
-    DropoutParams,
     SeparableConv2dParams,
     batch_norm,
     bilinear_upsample_2x,
@@ -155,7 +154,7 @@ class TestConv2dSame:
 
     def test_one_graph_node(self):
         x = Tensor(np.ones((2, 3, 5, 4), dtype=np.float32), requires_grad=True)
-        p = init_conv2d(3, 4, 3, Rng(0))
+        p = init_conv2d(3, 4, 3, Rng(0), np.float32)
         out = conv2d(x, p)
         assert out._parents == (x, p.weight, p.bias)
 
@@ -177,8 +176,6 @@ class TestConv2dSame:
         weighted_cross_entropy(probs, labels, ClassWeights([1.0, 1.0]))
         linked = [t for t, is_linked in made_nodes if is_linked]
         assert len(linked) <= bound
-        kinds = {t._backward.__qualname__.split(".<locals>")[0] for t in linked}
-        assert kinds.isdisjoint({"mul", "tensor_sum"})
 
 
 def _depthwise_einsum_oracle(x, weight, bias, pad):
@@ -208,6 +205,30 @@ def _depthwise_weight_grad_oracle(x, g, k, pad):
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     return np.einsum("nchwij,nchw->cij", win, g).reshape(x.shape[1], 1, k, k)
+
+
+def _depthwise_weight_grad_rows_oracle(x, g, k):
+    """The depthwise weight gradient as the kernel computed it while g had a
+    buffer of its own: per (batch, channel-slice) block, x in the flat
+    zero-bordered layout and g in a contiguous ``(channels, h, wp)`` buffer
+    whose k - 1 wrapped columns are zero; for kernel row i, the k dot
+    products ``einsum("ckl,cl->ck")`` of x's taps ``i*wp .. i*wp + k - 1``
+    with the flat g, summed block by block in batch order."""
+    n, c, h, w = x.shape
+    pad, hp, wp = (k - 1) // 2, h + k - 1, w + k - 1
+    cb = min(c, max(1, _DEPTHWISE_BLOCK // (h * wp)))
+    xb = np.zeros((cb, hp * wp + k - 1), dtype=x.dtype)
+    xtaps = np.lib.stride_tricks.sliding_window_view(xb, h * wp, axis=1)
+    gb = np.zeros((cb, h, wp), dtype=g.dtype)
+    gwt = np.zeros((c, k, k), dtype=np.result_type(x, g))
+    for b, c0 in np.ndindex(n, -(-c // cb)):
+        cs, m = slice(c0 * cb, (c0 + 1) * cb), min(cb, c - c0 * cb)
+        xb[:m, : hp * wp].reshape(m, hp, wp)[:, pad : pad + h, pad : pad + w] = x[b, cs]
+        gb[:m, :, :w] = g[b, cs]
+        gm = gb[:m].reshape(m, h * wp)
+        for i in range(k):
+            gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, i * wp : i * wp + k], gm)
+    return gwt.reshape(c, 1, k, k)
 
 
 def _weight_grad_bound(x, g, k, pad, dtype):
@@ -469,6 +490,21 @@ class TestDepthwiseKernel:
         want = _depthwise_weight_grad_oracle(x.astype(np.float64), g.astype(np.float64), k, pad)
         assert np.all(np.abs(weight.grad - want) <= _weight_grad_bound(x, g, k, pad, np.float32))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("shape", ROW_BUFFER_SHAPES)
+    def test_weight_grad_equals_per_row_einsum(self, shape, k, dtype):
+        # the rounding bound above would let a layout change move these bits
+        rng = np.random.default_rng(12)
+        x, g = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+        weight = Tensor(rng.normal(size=(shape[1], 1, k, k)).astype(dtype), requires_grad=True)
+        out = _depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(shape[1], dtype)))
+        backward(project(out, g))
+        want = _depthwise_weight_grad_rows_oracle(x, g, k)
+        assert weight.grad.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(weight.grad, want)
+        np.testing.assert_array_equal(np.signbit(weight.grad), np.signbit(want))
+
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_weight_grad_float64_stays_float64(self, k):
         rng = np.random.default_rng(9)
@@ -510,11 +546,12 @@ class TestDepthwiseKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the largest block buffer is the input gradient's, (h + 2k - 2) *
-        # (w + 2k - 2) positions for each of the 3 channels that fit in a block
-        block = 3 * (h + 2 * k - 2) * (w + 2 * k - 2) * 4
+        # x and g in the padded layout, (h + k - 1) * (w + k - 1) + k - 1
+        # positions for each of the 3 channels that fit in a block, and with
+        # x's gradient an accumulator and a product buffer of h * (w + k - 1)
+        block = 3 * ((h + k - 1) * (w + k - 1) + k - 1) * 4
         gx = 2 * x.data.nbytes if x_grad else 0  # the gradient and its first-accumulation copy
-        assert peak <= gx + (5 if x_grad else 2) * block + (64 << 10)
+        assert peak <= gx + (4 if x_grad else 2) * block + (64 << 10)
 
     def test_infer_footprint_is_the_output_and_four_block_buffers(self):
         # padding the whole input, or a wide buffer for the whole output,
@@ -563,7 +600,7 @@ class TestConv1x1:
 
     def test_one_graph_node(self):
         x = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32), requires_grad=True)
-        p = init_conv2d(2, 4, 1, Rng(0))
+        p = init_conv2d(2, 4, 1, Rng(0), np.float32)
         out = conv2d(x, p)
         assert out._parents == (x, p.weight, p.bias)
 
@@ -601,7 +638,7 @@ class TestSeparableConv2d:
         assert np.abs(got - expected).max() <= 1e-10
 
     def test_param_count_closed_form(self):
-        p = init_separable_conv2d(64, 128, 3, Rng(0))
+        p = init_separable_conv2d(64, 128, 3, Rng(0), np.float32)
         stored = sum(
             t.size
             for t in (p.depthwise_weight, p.depthwise_bias,
@@ -609,7 +646,7 @@ class TestSeparableConv2d:
         )
         # depthwise 64 * (9 + 1) plus pointwise 128 * (64 + 1)
         assert stored == 8960
-        q = init_conv2d(64, 128, 3, Rng(0))
+        q = init_conv2d(64, 128, 3, Rng(0), np.float32)
         # standard 128 * (64 * 9 + 1)
         assert q.weight.size + q.bias.size == 73856
 
@@ -617,12 +654,12 @@ class TestSeparableConv2d:
 class TestBatchNorm:
     def test_infer_identity_statistics(self, monkeypatch):
         monkeypatch.setattr(layers, "BN_EPS", 1e-12)
-        p = init_batch_norm(3)
+        p = init_batch_norm(3, np.float32)
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 4)))
         np.testing.assert_allclose(batch_norm(x, p, "infer").data, x.data, atol=1e-5)
 
     def test_train_normalizes_per_channel(self):
-        p = init_batch_norm(3)
+        p = init_batch_norm(3, np.float32)
         x = Tensor(np.random.default_rng(1).normal(2.0, 3.0, size=(4, 3, 8, 8)))
         out = batch_norm(x, p, "train").data
         assert np.abs(out.mean(axis=(0, 2, 3))).max() <= 1e-5
@@ -630,13 +667,13 @@ class TestBatchNorm:
 
     def test_train_updates_running_stats(self, monkeypatch):
         monkeypatch.setattr(layers, "BN_MOMENTUM", 0.5)
-        p = init_batch_norm(2)
+        p = init_batch_norm(2, np.float32)
         x = Tensor(np.full((2, 2, 2, 2), 4.0) + np.random.default_rng(0).normal(size=(2, 2, 2, 2)))
         batch_norm(x, p, "train")
         assert np.all(p.running_mean > 0.5)
 
     def test_degenerate_batch_rejected(self):
-        p = init_batch_norm(2)
+        p = init_batch_norm(2, np.float32)
         with pytest.raises(ValueError):
             batch_norm(Tensor(np.zeros((1, 2, 1, 1))), p, "train")
 
@@ -1132,29 +1169,29 @@ class TestPixelShuffle:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.random.default_rng(0).normal(size=(4, 4)))
-        np.testing.assert_array_equal(dropout(x, DropoutParams(0.0), "train", Rng(0)).data, x.data)
+        np.testing.assert_array_equal(dropout(x, 0.0, "train", Rng(0)).data, x.data)
 
     def test_train_mode_with_rng_only(self):
         x = Tensor(np.random.default_rng(1).normal(size=(4, 4)))
         with pytest.raises(ValueError):
-            dropout(x, DropoutParams(0.5), "infer", Rng(0))
+            dropout(x, 0.5, "infer", Rng(0))
         with pytest.raises(ValueError):
-            dropout(x, DropoutParams(0.5), "train")
+            dropout(x, 0.5, "train", None)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_mul_by_mask(self, dtype):
         rng = np.random.default_rng(2)
         x_np = rng.normal(size=(2, 3, 5, 4)).astype(dtype)
         g = rng.normal(size=x_np.shape).astype(dtype)
-        p = DropoutParams(0.3)
+        rate = 0.3
         runs = []
         for fused in (True, False):
             x = Tensor(x_np, requires_grad=True)
             if fused:
-                out = dropout(x, p, "train", Rng(7))
+                out = dropout(x, rate, "train", Rng(7))
             else:  # the broadcasting mul it replaced
-                keep = (Rng(7).uniform(size=x.shape) >= p.rate).astype(x.dtype)
-                out = mul(x, Tensor(keep / (1 - p.rate)))
+                keep = (Rng(7).uniform(size=x.shape) >= rate).astype(x.dtype)
+                out = mul(x, Tensor(keep / (1 - rate)))
             backward(project(out, g))
             runs.append((out.data, x.grad))
         _assert_bits_equal(*runs)
@@ -1162,21 +1199,23 @@ class TestDropout:
 
     def test_one_graph_node(self, made_nodes):
         x = Tensor(np.ones((2, 3, 4, 4), dtype=np.float32), requires_grad=True)
-        out = dropout(x, DropoutParams(0.3), "train", Rng(0))
+        out = dropout(x, 0.3, "train", Rng(0))
         assert [t for t, _ in made_nodes] == [out]
         assert out._parents == (x,)
 
     def test_empirical_drop_fraction(self):
         x = Tensor(np.ones(1_000_000))
-        out = dropout(x, DropoutParams(0.05), "train", Rng(123)).data
+        out = dropout(x, 0.05, "train", Rng(123)).data
         frac = np.count_nonzero(out == 0) / out.size
         assert 0.048 <= frac <= 0.052
         survivors = out[out != 0]
         np.testing.assert_allclose(survivors, 1.0 / 0.95, rtol=1e-6)
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            DropoutParams(1.0)
+        from sepseg.model import ModelSpec
+
+        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\), got 1.0"):
+            ModelSpec(dropout_rate=1.0)
 
 
 class TestActivations:
