@@ -27,7 +27,7 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def _as_array(data, dtype=None):
+def _as_array(data, dtype):
     arr = np.asarray(data, dtype=dtype)
     if arr.dtype not in FLOAT_DTYPES:
         arr = arr.astype(np.float32)

@@ -36,7 +36,7 @@ from .model import (
     predict_masks,
 )
 from .preprocess import prepare_slice
-from .train import NumericError, kfold_split, train, evaluate
+from .train import SCORE_COLUMNS, NumericError, evaluate, kfold_split, train
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
@@ -150,22 +150,17 @@ def cmd_eval(args):
     model = _load_model_from_checkpoint(args, cfg)
     samples = _load_dataset(args.data, cfg)
     rows, means = evaluate(model, samples, lesion_class=lesion_class)
-    header = f"{'volume':<12} {'overlap':>8} {'dice':>8} {'jaccard':>8} " \
-             f"{'overlap_g':>10} {'dice_g':>8} {'jaccard_g':>10}"
-    print(header)
-    for r in rows:
-        print(f"{r['volume_id']:<12} {r['overlap']:>8.4f} {r['dice']:>8.4f} "
-              f"{r['jaccard']:>8.4f} {r['overlap_global']:>10.4f} "
-              f"{r['dice_global']:>8.4f} {r['jaccard_global']:>10.4f}")
-    print(f"{'mean':<12} {means['overlap']:>8.4f} {means['dice']:>8.4f} "
-          f"{means['jaccard']:>8.4f} {means['overlap_global']:>10.4f} "
-          f"{means['dice_global']:>8.4f} {means['jaccard_global']:>10.4f}")
+    labels = [key.replace("_global", "_g") for key in SCORE_COLUMNS]
+    widths = [max(8, len(label) + 1) for label in labels]
+    print(f"{'volume':<12} " + " ".join(f"{lb:>{w}}" for lb, w in zip(labels, widths)))
+    for name, r in [(r["volume_id"], r) for r in rows] + [("mean", means)]:
+        print(f"{name:<12} " + " ".join(f"{r[k]:>{w}.4f}" for k, w in zip(SCORE_COLUMNS, widths)))
     if args.csv:
+        columns = ("volume_id", *SCORE_COLUMNS)
         with open(args.csv, "w") as fh:
-            fh.write("volume_id,overlap,dice,jaccard,overlap_global,dice_global,jaccard_global\n")
+            fh.write(",".join(columns) + "\n")
             for r in rows:
-                fh.write(f"{r['volume_id']},{r['overlap']},{r['dice']},{r['jaccard']},"
-                         f"{r['overlap_global']},{r['dice_global']},{r['jaccard_global']}\n")
+                fh.write(",".join(str(r[k]) for k in columns) + "\n")
     return 0
 
 

@@ -127,7 +127,7 @@ def read_nifti(path) -> Volume:
 def build_slice_dataset(
     volumes,
     masks,
-    window: WindowSpec = WindowSpec(),
+    window: WindowSpec,
     *,
     resize: int,
     lesion_class: int,
@@ -160,7 +160,7 @@ def build_slice_dataset(
     return samples
 
 
-def generate_phantom(rng: Rng, size: int = 64, n: int = 8):
+def generate_phantom(rng: Rng, size: int, n: int):
     """Synthetic slices: smooth background plus a bright random ellipse.
 
     The ellipse interior is the mask; intensities land in [0, 1] as if

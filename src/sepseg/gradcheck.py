@@ -150,7 +150,7 @@ def _check(call, arrays, rng):
     return [(wrt, grad_check(lambda t: score(i, t), x)) for i, (wrt, x) in enumerate(arrays.items())]
 
 
-def run_suite(scope: str = "layers"):
+def run_suite(scope: str):
     """(op_name, wrt, instance, max_relative_error) tuples for ``scope``."""
     scopes = {"layers": LAYER_CASES, "block": BLOCK_CASES, "model": {**LAYER_CASES, **BLOCK_CASES}}
     if scope not in scopes:

@@ -1,8 +1,10 @@
 """Segmentation scores and the weighted cross-entropy training loss.
 
-``overlap_score`` implements the evaluation ratio |A∩B| / (|A| + |B\\A|),
-which is algebraically the Jaccard index; the conventional Dice
-coefficient and Jaccard index are provided alongside for cross-checking.
+``mask_scores`` gives the overlap |A∩B| / (|A| + |B\\A|), the Dice
+coefficient and the Jaccard index of a predicted mask B against a true
+mask A from one count of their intersection and union. The overlap is
+the paper's evaluation ratio and algebraically the Jaccard index, so
+those two are equal; the Dice coefficient is the score LiTS reports.
 """
 
 from __future__ import annotations
@@ -17,13 +19,6 @@ WEIGHT_CLAMP = (0.1, 10.0)  # bounds of a class weight after normalization
 
 
 @dataclass
-class ConfusionCounts:
-    ntp: int
-    nfp: int
-    nfn: int
-
-
-@dataclass
 class ClassWeights:
     w: np.ndarray
 
@@ -33,40 +28,18 @@ class ClassWeights:
             raise ValueError("class weights must be positive")
 
 
-def confusion_counts(pred, truth) -> ConfusionCounts:
+def mask_scores(pred, truth):
+    """(overlap, dice, jaccard) of ``pred`` against ``truth``, nonzero
+    meaning inside; two empty masks score 1 on all three."""
     pred = np.asarray(pred).astype(bool)
     truth = np.asarray(truth).astype(bool)
     if pred.shape != truth.shape:
         raise ShapeError(f"mask shapes differ: {pred.shape} vs {truth.shape}")
     ntp = int(np.count_nonzero(pred & truth))
-    nfp = int(np.count_nonzero(pred & ~truth))
-    nfn = int(np.count_nonzero(~pred & truth))
-    return ConfusionCounts(ntp, nfp, nfn)
-
-
-def overlap_score(pred, truth) -> float:
-    """|A∩B| / (|A| + |B\\A|) with A = truth, B = pred; empty/empty -> 1."""
-    c = confusion_counts(pred, truth)
-    denom = c.ntp + c.nfn + c.nfp
-    if denom == 0:
-        return 1.0
-    return c.ntp / denom
-
-
-def jaccard(pred, truth) -> float:
-    c = confusion_counts(pred, truth)
-    union = c.ntp + c.nfp + c.nfn
+    union = int(np.count_nonzero(pred | truth))
     if union == 0:
-        return 1.0
-    return c.ntp / union
-
-
-def dice_standard(pred, truth) -> float:
-    c = confusion_counts(pred, truth)
-    denom = 2 * c.ntp + c.nfp + c.nfn
-    if denom == 0:
-        return 1.0
-    return 2 * c.ntp / denom
+        return 1.0, 1.0, 1.0
+    return ntp / union, 2 * ntp / (union + ntp), ntp / union
 
 
 def weighted_cross_entropy(probs: Tensor, labels, weights: ClassWeights) -> Tensor:

@@ -201,7 +201,7 @@ def resnet_block_forward(
     return add_relu(a, s)
 
 
-def forward(model: Model, x: Tensor, mode: str = "infer", rng: Rng = None):
+def forward(model: Model, x: Tensor, mode: str, rng: Rng = None):
     """Full forward pass to per-pixel class probabilities.
 
     Input must be (N, IN_CHANNELS, H, W) with H and W divisible by 16.

@@ -33,7 +33,7 @@ class WindowSpec:
 
 
 
-def window_hu(x, w: WindowSpec = WindowSpec()):
+def window_hu(x, w: WindowSpec):
     """Clamp to [low, high] HU and map affinely to [0, 1]."""
     x = np.asarray(x, dtype=np.float32)
     return (np.clip(x, w.low, w.high) - w.low) / (w.high - w.low)

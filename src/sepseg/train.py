@@ -17,13 +17,7 @@ import numpy as np
 
 from .autograd import Rng, Tensor, backward
 from .data import DataError, save_checkpoint
-from .metrics import (
-    dice_standard,
-    inverse_frequency_weights,
-    jaccard,
-    overlap_score,
-    weighted_cross_entropy,
-)
+from .metrics import inverse_frequency_weights, mask_scores, weighted_cross_entropy
 from .model import ModelSpec, build_model, forward, predict_masks
 from .preprocess import augment_pair
 
@@ -31,6 +25,8 @@ GRAD_CLIP = 5.0  # global gradient-norm bound
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# evaluate's score columns: per-slice means, then scores of the pooled slices
+SCORE_COLUMNS = ("overlap", "dice", "jaccard", "overlap_global", "dice_global", "jaccard_global")
 
 
 class NumericError(RuntimeError):
@@ -147,12 +143,12 @@ def run_log_lines(records):
     return "\n".join(lines) + "\n"
 
 
-def _draw_batch(train_set, lesion_idx, batch_size, rng, lesion_class):
-    """Sample with replacement, forcing >= 1 lesion-bearing slice when
-    the split has any."""
+def _draw_batch(train_set, lesion_idx, batch_size, rng):
+    """Sample with replacement, forcing >= 1 of the lesion-bearing slices
+    ``lesion_idx`` when the split has any."""
     n = len(train_set)
     idx = list(rng.integers(0, n, batch_size))
-    if lesion_idx and not any(np.any(train_set[i].mask == lesion_class) for i in idx):
+    if lesion_idx and set(idx).isdisjoint(lesion_idx):
         idx[0] = lesion_idx[int(rng.integers(0, len(lesion_idx)))]
     return [train_set[i] for i in idx]
 
@@ -168,20 +164,23 @@ def _batch_arrays(batch, config, rng_aug):
     return np.stack(images), np.stack(labels)
 
 
-def _mean_dice(model, samples, lesion_class):
-    """Mean per-slice dice (standard + overlap) in infer mode; slices
-    with empty truth are skipped for the per-slice mean."""
-    dices, overlaps = [], []
+def _slice_scores(model, samples, lesion_class):
+    """Infer-mode masks and truths of ``samples``, and the
+    (overlap, dice, jaccard) of each slice whose truth holds the class."""
     preds = predict_masks(model, [s.image for s in samples], lesion_class)
-    for s, pred in zip(samples, preds):
-        truth = (s.mask == lesion_class).astype(np.uint8)
-        if not truth.any():
-            continue
-        dices.append(dice_standard(pred, truth))
-        overlaps.append(overlap_score(pred, truth))
-    if not dices:
+    truths = [(s.mask == lesion_class).astype(np.uint8) for s in samples]
+    scores = [mask_scores(p, t) for p, t in zip(preds, truths) if t.any()]
+    return preds, truths, scores
+
+
+def _mean_dice(model, samples, lesion_class):
+    """(dice, overlap) averaged over the slices whose truth holds the
+    class, in infer mode; (0, 0) when none does."""
+    _, _, scores = _slice_scores(model, samples, lesion_class)
+    if not scores:
         return 0.0, 0.0
-    return float(np.mean(dices)), float(np.mean(overlaps))
+    overlap, dice, _ = (float(np.mean(col)) for col in zip(*scores))
+    return dice, overlap
 
 
 def _snapshot(model):
@@ -201,14 +200,13 @@ def _check_labels(samples, num_classes):
                             f"{lo if lo < 0 else hi} outside [0, {num_classes})")
 
 
-def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
-          out_dir=None, log_fn=None):
+def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set, out_dir, log_fn):
     """Run the optimization loop; returns (model, records, best).
 
-    ``best`` is (iteration, val_dice, checkpoint entries). When ``out_dir``
-    is given, best.ckpt / final.ckpt / run_log.csv / timing.txt are
-    written there. An empty split, or a mask label outside
-    ``[0, num_classes)``, raises DataError before the model is built.
+    ``best`` is (iteration, val_dice, checkpoint entries). ``log_fn`` gets
+    each RunRecord as it is made, and best.ckpt / final.ckpt / run_log.csv /
+    timing.txt are written to ``out_dir``. An empty split, or a mask label
+    outside ``[0, num_classes)``, raises DataError before the model is built.
     """
     if not train_set:
         raise DataError("training split is empty")
@@ -229,9 +227,7 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
     start = time.time()
 
     for it in range(1, config.iterations + 1):
-        batch = _draw_batch(
-            train_set, lesion_idx, config.batch_size, rng.substream(1, it), lesion,
-        )
+        batch = _draw_batch(train_set, lesion_idx, config.batch_size, rng.substream(1, it))
         x_np, y_np = _batch_arrays(batch, config, rng.substream(2, it))
         x = Tensor(x_np)
         probs = forward(model, x, mode="train", rng=rng.substream(3, it))
@@ -252,60 +248,42 @@ def train(model_spec: ModelSpec, config: TrainConfig, train_set, val_set,
             rec = RunRecord(it, loss_val, train_dice, val_dice, val_overlap,
                             time.time() - start)
             records.append(rec)
-            if log_fn:
-                log_fn(rec)
+            log_fn(rec)
             if best is None or val_dice > best[1]:
                 best = (it, val_dice, _snapshot(model))
 
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(best[2], os.path.join(out_dir, "best.ckpt"))
-        save_checkpoint(_snapshot(model), os.path.join(out_dir, "final.ckpt"))
-        with open(os.path.join(out_dir, "run_log.csv"), "w") as fh:
-            fh.write(run_log_lines(records))
-        with open(os.path.join(out_dir, "timing.txt"), "w") as fh:
-            for r in records:
-                fh.write(f"{r.iteration},{r.wall_time:.3f}\n")
+    os.makedirs(out_dir, exist_ok=True)
+    save_checkpoint(best[2], os.path.join(out_dir, "best.ckpt"))
+    save_checkpoint(_snapshot(model), os.path.join(out_dir, "final.ckpt"))
+    with open(os.path.join(out_dir, "run_log.csv"), "w") as fh:
+        fh.write(run_log_lines(records))
+    with open(os.path.join(out_dir, "timing.txt"), "w") as fh:
+        for r in records:
+            fh.write(f"{r.iteration},{r.wall_time:.3f}\n")
     return model, records, best
 
 
 def evaluate(model, samples, lesion_class: int):
-    """Per-volume and aggregate scores of ``lesion_class`` in infer mode.
+    """Per-volume rows and their means of ``lesion_class``'s scores in
+    infer mode, keyed by ``SCORE_COLUMNS``.
 
-    Per-volume rows: mean per-slice scores over slices with nonempty
-    truth; a global-voxel variant pools all pixels of the volume.
+    The plain scores are means over the volume's slices whose truth holds
+    the class (NaN when none does). The ``_global`` scores pool every pixel
+    of the volume's slices that ``samples`` holds; for a dataset from
+    ``build_slice_dataset`` that is only the slices its filter keeps, not
+    the whole volume. A mean skips NaN rows.
     """
     by_volume = OrderedDict()
     for s in samples:
         by_volume.setdefault(s.volume_id, []).append(s)
     rows = []
     for vid, group in by_volume.items():
-        pred = np.stack(predict_masks(model, [s.image for s in group], lesion_class))
-        truth = np.stack([(s.mask == lesion_class) for s in group]).astype(np.uint8)
-        slice_scores = [
-            (overlap_score(pred[i], truth[i]), dice_standard(pred[i], truth[i]),
-             jaccard(pred[i], truth[i]))
-            for i in range(len(group))
-            if truth[i].any()
-        ]
-        if slice_scores:
-            per_slice = tuple(float(np.mean(col)) for col in zip(*slice_scores))
-        else:
-            per_slice = (float("nan"),) * 3
-        global_scores = (overlap_score(pred, truth), dice_standard(pred, truth),
-                         jaccard(pred, truth))
-        rows.append({
-            "volume_id": vid,
-            "overlap": per_slice[0],
-            "dice": per_slice[1],
-            "jaccard": per_slice[2],
-            "overlap_global": global_scores[0],
-            "dice_global": global_scores[1],
-            "jaccard_global": global_scores[2],
-        })
+        preds, truths, scores = _slice_scores(model, group, lesion_class)
+        per_slice = [float(np.mean(col)) for col in zip(*scores)] or [float("nan")] * 3
+        pooled = mask_scores(np.stack(preds), np.stack(truths))
+        rows.append({"volume_id": vid, **dict(zip(SCORE_COLUMNS, (*per_slice, *pooled)))})
     means = {}
-    for key in ("overlap", "dice", "jaccard", "overlap_global", "dice_global",
-                "jaccard_global"):
+    for key in SCORE_COLUMNS:
         vals = [r[key] for r in rows if np.isfinite(r[key])]
         means[key] = float(np.mean(vals)) if vals else float("nan")
     return rows, means

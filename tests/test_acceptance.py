@@ -20,18 +20,16 @@ from sepseg.data import (
     save_checkpoint,
 )
 from sepseg.gradcheck import TOLERANCE, run_suite
-from sepseg.metrics import (
-    ClassWeights,
-    dice_standard,
-    jaccard,
-    overlap_score,
-    weighted_cross_entropy,
-)
+from sepseg.metrics import ClassWeights, mask_scores, weighted_cross_entropy
 from sepseg.model import ModelSpec, build_model, count_parameters, forward
 from sepseg.preprocess import WindowSpec, rotate_pair, histogram_equalize, window_hu
 from sepseg.train import AdamState, TrainConfig, adam_step, train
 
 from conftest import make_nifti
+
+
+def _no_log(record):
+    pass
 
 
 def _report(index, label, ok):
@@ -109,10 +107,9 @@ class TestAcceptance:
         for _ in range(100):
             pred = rng.integers(0, 2, (16, 16))
             truth = rng.integers(0, 2, (16, 16))
-            j = jaccard(pred, truth)
-            worst_overlap = max(worst_overlap, abs(overlap_score(pred, truth) - j))
-            worst_dice = max(worst_dice, abs(dice_standard(pred, truth)
-                                             - 2 * j / (1 + j)))
+            overlap, dice, j = mask_scores(pred, truth)
+            worst_overlap = max(worst_overlap, abs(overlap - j))
+            worst_dice = max(worst_dice, abs(dice - 2 * j / (1 + j)))
         ok = worst_overlap <= 1e-12 and worst_dice <= 1e-12
         _report(5, f"score identities to {max(worst_overlap, worst_dice):.1e}", ok)
 
@@ -122,8 +119,7 @@ class TestAcceptance:
         cfg = TrainConfig(iterations=300, batch_size=4, lr=0.001, seed=0,
                           eval_every=50, augment=True)
         start = time.monotonic()
-        _, records, _ = train(spec, cfg, samples, samples[:2],
-                              out_dir=str(tmp_path))
+        _, records, _ = train(spec, cfg, samples, samples[:2], str(tmp_path), _no_log)
         elapsed = time.monotonic() - start
         final_dice = records[-1].train_dice
 
@@ -154,7 +150,7 @@ class TestAcceptance:
         for sub in ("a", "b"):
             out = tmp_path / sub
             train(ModelSpec(variant="proposed", base_depth=8), cfg,
-                  samples, samples[:1], out_dir=str(out))
+                  samples, samples[:1], str(out), _no_log)
             outs.append(out)
         same_log = ((outs[0] / "run_log.csv").read_bytes()
                     == (outs[1] / "run_log.csv").read_bytes())

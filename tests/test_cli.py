@@ -359,13 +359,24 @@ class TestInferEval:
         assert "slice 1 holds a non-finite voxel" in capsys.readouterr().err
 
     def test_eval_prints_score_columns(self, tmp_path, config_path, trained, capsys):
+        csv = tmp_path / "scores.csv"
         code = main(["eval", "--config", config_path,
                      "--checkpoint", str(trained / "best.ckpt"),
-                     "--data", "phantoms:4x32"])
+                     "--data", "phantoms:4x32", "--csv", str(csv)])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "overlap" in out and "dice" in out and "jaccard" in out
-        assert "mean" in out
+        out = capsys.readouterr().out.splitlines()
+        header, fields = csv.read_text().splitlines()
+        assert header == "volume_id,overlap,dice,jaccard,overlap_global,dice_global,jaccard_global"
+        assert fields.split(",")[0] == "phantom"
+        v = [float(x) for x in fields.split(",")[1:]]
+        cells = (f"{v[0]:>8.4f} {v[1]:>8.4f} {v[2]:>8.4f} "
+                 f"{v[3]:>10.4f} {v[4]:>8.4f} {v[5]:>10.4f}")
+        # one volume, so its row and the mean row hold the same scores
+        assert out == [
+            "volume        overlap     dice  jaccard  overlap_g   dice_g  jaccard_g",
+            f"phantom      {cells}",
+            f"mean         {cells}",
+        ]
 
 
 class TestParamsCommand:

@@ -16,8 +16,9 @@ from sepseg.data import (
     save_checkpoint,
     write_pgm,
 )
-from sepseg.metrics import overlap_score
+from sepseg.metrics import mask_scores
 from sepseg.model import ModelSpec, build_model
+from sepseg.preprocess import WindowSpec
 
 from conftest import make_nifti
 
@@ -157,13 +158,13 @@ class TestSliceDataset:
     def test_lesion_filter_empty_when_no_lesion(self, nifti_factory):
         img, mask = _volume_pair(lesion_slices=())
         v, m = self._read(nifti_factory, img, mask)
-        samples = build_slice_dataset({"0": v}, {"0": m}, resize=32, lesion_class=1)
+        samples = build_slice_dataset({"0": v}, {"0": m}, WindowSpec(), resize=32, lesion_class=1)
         assert samples == []
 
     def test_lesion_filter_with_neighbors(self, nifti_factory):
         img, mask = _volume_pair(z=8, lesion_slices=(3,))
         v, m = self._read(nifti_factory, img, mask)
-        samples = build_slice_dataset({"0": v}, {"0": m}, resize=32, lesion_class=1)
+        samples = build_slice_dataset({"0": v}, {"0": m}, WindowSpec(), resize=32, lesion_class=1)
         assert [s.slice_index for s in samples] == [1, 2, 3, 4, 5]
 
     def test_lesion_filter_keeps_the_lesion_class(self, nifti_factory):
@@ -171,7 +172,7 @@ class TestSliceDataset:
         mask[:, 4:28, 4:28] = 1
         mask[4, 8:16, 8:16] = 2
         v, m = self._read(nifti_factory, img, mask)
-        kept = [[s.slice_index for s in build_slice_dataset({"0": v}, {"0": m}, resize=32,
+        kept = [[s.slice_index for s in build_slice_dataset({"0": v}, {"0": m}, WindowSpec(), resize=32,
                                                             lesion_class=c)]
                 for c in (2, 1)]
         assert kept == [[2, 3, 4, 5, 6], list(range(9))]
@@ -179,7 +180,7 @@ class TestSliceDataset:
     def test_pipeline_value_ranges(self, nifti_factory):
         img, mask = _volume_pair()
         v, m = self._read(nifti_factory, img, mask)
-        for s in build_slice_dataset({"0": v}, {"0": m}, resize=32, lesion_class=1):
+        for s in build_slice_dataset({"0": v}, {"0": m}, WindowSpec(), resize=32, lesion_class=1):
             assert s.image.min() >= 0.0 and s.image.max() <= 1.0
             assert set(np.unique(s.mask)) <= {0, 1}
 
@@ -187,7 +188,7 @@ class TestSliceDataset:
         img, mask = _volume_pair()
         v, _ = self._read(nifti_factory, img, mask)
         with pytest.raises(DataError, match="'0'"):
-            build_slice_dataset({"0": v}, {}, resize=32, lesion_class=1)
+            build_slice_dataset({"0": v}, {}, WindowSpec(), resize=32, lesion_class=1)
 
     def test_dim_mismatch(self, nifti_factory):
         img, _ = _volume_pair()
@@ -196,7 +197,7 @@ class TestSliceDataset:
             nifti_factory("segmentation-bad.nii", np.zeros((3, 32, 32), dtype=np.int16))
         )
         with pytest.raises(DataError, match="dims"):
-            build_slice_dataset({"0": v}, {"0": bad_mask}, resize=32, lesion_class=1)
+            build_slice_dataset({"0": v}, {"0": bad_mask}, WindowSpec(), resize=32, lesion_class=1)
 
 
 class TestPhantoms:
@@ -222,7 +223,7 @@ class TestPhantoms:
 
     def test_self_score_is_one(self):
         for s in generate_phantom(Rng(2, 9), 64, 4):
-            assert overlap_score(s.mask, s.mask) == 1.0
+            assert mask_scores(s.mask, s.mask)[0] == 1.0
 
     def test_size_must_divide_16(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """Every module-level import in ``src/sepseg`` is used by its module,
 every graph op in ``autograd`` has a caller in another module, every
 defaulted parameter of a module-level function is passed by some call in
-``src/sepseg``, and the package loads nothing beyond numpy and the
-standard library.
+``src/sepseg`` and left out by another, and the package loads nothing
+beyond numpy and the standard library.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name counts as used when the module reads it as a name or
@@ -115,18 +115,18 @@ def _passes(call, index, param):
         len(call.args) > index or any(isinstance(x, ast.Starred) for x in call.args))
 
 
-def unpassed_defaults(trees):
-    """``(module, function, parameter)`` for each defaulted parameter of a
-    module-level function in ``trees`` (module name -> ast) that no call in
-    ``trees`` passes. Calls match functions by name alone; a ``*args`` or
-    ``**kwargs`` argument passes every positional or keyword parameter."""
+def default_passes(trees):
+    """``(module, function, parameter)`` -> whether each call in ``trees``
+    (module name -> ast) passes it, for each defaulted parameter of a
+    module-level function. Calls match functions by name alone; a ``*args``
+    or ``**kwargs`` argument passes every positional or keyword parameter."""
     calls = {}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
-    unpassed = set()
+    passes = {}
     for module, tree in trees.items():
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef):
@@ -136,9 +136,21 @@ def unpassed_defaults(trees):
             first = len(positional) - len(a.defaults)
             defaulted = [(i, p) for i, p in enumerate(positional) if i >= first]
             defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            unpassed.update((module, fn.name, param) for index, param in defaulted
-                            if not any(_passes(c, index, param) for c in calls.get(fn.name, [])))
-    return unpassed
+            for index, param in defaulted:
+                passes[module, fn.name, param] = [
+                    _passes(c, index, param) for c in calls.get(fn.name, [])]
+    return passes
+
+
+def unpassed_defaults(trees):
+    """Defaulted parameters that no call passes."""
+    return {key for key, passed in default_passes(trees).items() if not any(passed)}
+
+
+def always_passed_defaults(trees):
+    """Defaulted parameters that every call passes, so that only code
+    outside ``trees`` can rely on the default."""
+    return {key for key, passed in default_passes(trees).items() if passed and all(passed)}
 
 
 def test_detects_an_unpassed_default():
@@ -151,9 +163,26 @@ def test_detects_an_unpassed_default():
     assert unpassed_defaults(trees) == {("a", "f", "z")}
 
 
+def test_detects_an_always_passed_default():
+    trees = {
+        "a": ast.parse("def f(x, y=1, *, z=None, w=2):\n    pass\n"
+                       "def g(p=0):\n    pass\n"
+                       "def h(q=0):\n    pass\n"),
+        "b": ast.parse("from .a import f, g\nf(1, 2)\nf(1, 3, w=3)\ng()\n"),
+    }
+    assert always_passed_defaults(trees) == {("a", "f", "y")}
+
+
+def _src_trees():
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
 def test_every_defaulted_parameter_is_passed():
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    assert unpassed_defaults(trees) == UNPASSED_DEFAULTS
+    assert unpassed_defaults(_src_trees()) == UNPASSED_DEFAULTS
+
+
+def test_no_defaulted_parameter_is_always_passed():
+    assert always_passed_defaults(_src_trees()) == set()
 
 
 def test_cli_runs_without_scipy():

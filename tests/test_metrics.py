@@ -5,10 +5,8 @@ from sepseg.autograd import ShapeError, Tensor, backward, grad_check
 from sepseg.layers import softmax_channels
 from sepseg.metrics import (
     ClassWeights,
-    dice_standard,
     inverse_frequency_weights,
-    jaccard,
-    overlap_score,
+    mask_scores,
     probs_to_mask,
     weighted_cross_entropy,
 )
@@ -21,52 +19,47 @@ def random_mask_pair(rng, shape=(16, 16)):
 class TestScores:
     def test_identical_masks(self):
         m = np.ones((4, 4))
-        assert overlap_score(m, m) == dice_standard(m, m) == jaccard(m, m) == 1.0
+        assert mask_scores(m, m) == (1.0, 1.0, 1.0)
 
     def test_disjoint_masks(self):
         a = np.zeros((4, 4))
         a[:2] = 1
         b = np.zeros((4, 4))
         b[2:] = 1
-        assert overlap_score(a, b) == 0.0
+        assert mask_scores(a, b)[0] == 0.0
 
     def test_overlap_one_example(self):
         truth = np.array([1, 1, 0, 0])
         pred = np.array([0, 1, 1, 0])
-        assert overlap_score(pred, truth) == pytest.approx(1 / 3)
-        assert dice_standard(pred, truth) == pytest.approx(0.5)
-        assert jaccard(pred, truth) == pytest.approx(1 / 3)
+        assert mask_scores(pred, truth) == pytest.approx((1 / 3, 0.5, 1 / 3))
 
     def test_empty_empty_is_one(self):
         z = np.zeros((3, 3))
-        assert overlap_score(z, z) == dice_standard(z, z) == jaccard(z, z) == 1.0
+        assert mask_scores(z, z) == (1.0, 1.0, 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            overlap_score(np.zeros((2, 2)), np.zeros((3, 3)))
+            mask_scores(np.zeros((2, 2)), np.zeros((3, 3)))
 
     def test_overlap_equals_jaccard_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             pred, truth = random_mask_pair(rng)
-            j = jaccard(pred, truth)
-            assert abs(overlap_score(pred, truth) - j) <= 1e-12
-            assert abs(dice_standard(pred, truth) - 2 * j / (1 + j)) <= 1e-12
+            overlap, dice, j = mask_scores(pred, truth)
+            assert abs(overlap - j) <= 1e-12
+            assert abs(dice - 2 * j / (1 + j)) <= 1e-12
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             a, b = random_mask_pair(rng)
-            assert overlap_score(a, b) == overlap_score(b, a)
-            assert dice_standard(a, b) == dice_standard(b, a)
-            assert jaccard(a, b) == jaccard(b, a)
+            assert mask_scores(a, b) == mask_scores(b, a)
 
     def test_scores_in_unit_interval_and_one_iff_equal(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             a, b = random_mask_pair(rng)
-            for score in (overlap_score, dice_standard, jaccard):
-                s = score(a, b)
+            for s in mask_scores(a, b):
                 assert 0.0 <= s <= 1.0
                 assert (s == 1.0) == np.array_equal(a.astype(bool), b.astype(bool))
 

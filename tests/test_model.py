@@ -60,7 +60,7 @@ class TestForward:
     def test_indivisible_size_rejected(self):
         model = small_model()
         with pytest.raises(ShapeError) as exc:
-            forward(model, Tensor(np.zeros((1, 1, 40, 40), dtype=np.float32)))
+            forward(model, Tensor(np.zeros((1, 1, 40, 40), dtype=np.float32)), "infer")
         assert "16" in str(exc.value)
 
     def test_baseline_same_io_shapes(self):

@@ -19,17 +19,17 @@ from sepseg.preprocess import (
 
 class TestWindowing:
     def test_clamp_high(self):
-        assert window_hu(np.array([300.0]))[0] == 1.0
+        assert window_hu(np.array([300.0]), WindowSpec())[0] == 1.0
 
     def test_clamp_low(self):
-        assert window_hu(np.array([-150.0]))[0] == 0.0
+        assert window_hu(np.array([-150.0]), WindowSpec())[0] == 0.0
 
     def test_affine_midpoint(self):
-        assert window_hu(np.array([50.0]))[0] == pytest.approx(0.5)
+        assert window_hu(np.array([50.0]), WindowSpec())[0] == pytest.approx(0.5)
 
     def test_idempotent_on_mapped_range(self):
         x = np.linspace(-300, 400, 50)
-        once = window_hu(x)
+        once = window_hu(x, WindowSpec())
         # treating [0, 1] as a window again must be the identity
         twice = window_hu(once, WindowSpec(0.0, 1.0))
         np.testing.assert_allclose(twice, once, atol=1e-7)

@@ -11,6 +11,7 @@ from sepseg.train import (
     TrainConfig,
     adam_step,
     clip_gradients,
+    _mean_dice,
     evaluate,
     kfold_split,
     run_log_lines,
@@ -152,6 +153,10 @@ class TestKFold:
                                 [[id(s) for s in part] for part in want], args[1:]
 
 
+def _no_log(record):
+    pass
+
+
 def _phantom_setup(n=4, size=32):
     samples = generate_phantom(Rng(0, 9), size, n)
     spec = ModelSpec(variant="proposed", base_depth=8)
@@ -159,25 +164,25 @@ def _phantom_setup(n=4, size=32):
 
 
 class TestTrainingLoop:
-    def test_lr_zero_leaves_parameters_unchanged(self):
+    def test_lr_zero_leaves_parameters_unchanged(self, tmp_path):
         samples, spec = _phantom_setup()
         spec.dropout_rate = 0.0
         cfg = TrainConfig(iterations=3, batch_size=2, lr=0.0, seed=0, eval_every=3,
                           augment=False)
-        model, _, _ = train(spec, cfg, samples, samples[:1])
+        model, _, _ = train(spec, cfg, samples, samples[:1], str(tmp_path), _no_log)
         reference = build_model(ModelSpec(variant="proposed", base_depth=8), Rng(0, 0))
         for (n1, p1), (n2, p2) in zip(model.named_parameters().items(),
                                       reference.named_parameters().items()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
 
-    def test_identical_seeds_identical_logs(self):
+    def test_identical_seeds_identical_logs(self, tmp_path):
         samples, spec = _phantom_setup()
         cfg = TrainConfig(iterations=4, batch_size=2, seed=7, eval_every=2)
         _, rec_a, _ = train(ModelSpec(variant="proposed", base_depth=8), cfg, samples,
-                            samples[:1])
+                            samples[:1], str(tmp_path / "a"), _no_log)
         _, rec_b, _ = train(ModelSpec(variant="proposed", base_depth=8), cfg, samples,
-                            samples[:1])
+                            samples[:1], str(tmp_path / "b"), _no_log)
         assert run_log_lines(rec_a) == run_log_lines(rec_b)
 
     def test_fixed_batch_loss_strictly_decreases(self):
@@ -212,7 +217,7 @@ class TestTrainingLoop:
     def test_best_checkpoint_rule(self, tmp_path):
         samples, spec = _phantom_setup()
         cfg = TrainConfig(iterations=6, batch_size=2, seed=1, eval_every=2)
-        _, records, best = train(spec, cfg, samples, samples[:2], out_dir=str(tmp_path))
+        _, records, best = train(spec, cfg, samples, samples[:2], str(tmp_path), _no_log)
         assert best[1] == max(r.val_dice for r in records)
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "run_log.csv").exists()
@@ -220,17 +225,17 @@ class TestTrainingLoop:
     def test_final_checkpoint_restores_batch_norm_statistics(self, tmp_path):
         samples, spec = _phantom_setup()
         cfg = TrainConfig(iterations=4, batch_size=2, seed=7, eval_every=2)
-        model, _, _ = train(spec, cfg, samples, samples[:2], out_dir=str(tmp_path))
+        model, _, _ = train(spec, cfg, samples, samples[:2], str(tmp_path), _no_log)
         fresh = build_model(spec, Rng(99, 0))
         load_into_model(fresh, load_checkpoint(str(tmp_path / "final.ckpt")))
         x = Tensor(np.stack([s.image for s in samples]))
         np.testing.assert_array_equal(forward(fresh, x, "infer").data,
                                       forward(model, x, "infer").data)
 
-    def test_empty_train_set_rejected(self):
+    def test_empty_train_set_rejected(self, tmp_path):
         _, spec = _phantom_setup()
         with pytest.raises(ValueError):
-            train(spec, TrainConfig(iterations=1), [], [])
+            train(spec, TrainConfig(iterations=1), [], [], str(tmp_path), _no_log)
 
 
 class TestEvaluate:
@@ -251,3 +256,14 @@ class TestEvaluate:
         model = build_model(spec, Rng(0, 0))
         rows, _ = evaluate(model, samples, spec.lesion_class)
         assert np.isfinite(rows[0]["dice"])  # remaining slices still counted
+
+    @pytest.mark.parametrize("lesion_class", [0, 1])
+    def test_mean_dice_equals_one_volume_means(self, lesion_class):
+        # training's score and eval's per-slice means come from the same slices
+        samples, spec = _phantom_setup()
+        assert len({s.volume_id for s in samples}) == 1
+        model = build_model(spec, Rng(0, 0))
+        _, means = evaluate(model, samples, lesion_class)
+        dice, overlap = _mean_dice(model, samples, lesion_class)
+        assert 0.0 < overlap < dice < 1.0
+        assert (dice, overlap) == (means["dice"], means["overlap"])
