@@ -1,10 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Tensors wrap a numpy array (float32 by default, float64 for gradient
-checking) in row-major layout. While recording is on (the default), every
-differentiable op with a parent that requires a gradient records a backward
-closure; inside ``no_grad()`` ops record nothing, so their outputs hold no
-parents, closures or captured inputs. Infer-mode model forwards run there.
+checking) in row-major layout. The ops take only what the network passes:
+``add_relu`` adds two tensors of one shape, ``concat`` joins tensors along
+the channel axis, and no op broadcasts. While recording is on (the
+default), every differentiable op with a parent that requires a gradient
+records a backward closure; inside ``no_grad()`` ops record nothing, so
+their outputs hold no parents, closures or captured inputs. Infer-mode
+model forwards run there.
 
 ``backward()`` walks the graph once in reverse topological order and
 accumulates gradients additively across fan-out. It frees the graph as it
@@ -27,13 +30,6 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def _as_array(data, dtype):
-    arr = np.asarray(data, dtype=dtype)
-    if arr.dtype not in FLOAT_DTYPES:
-        arr = arr.astype(np.float32)
-    return arr
-
-
 class Tensor:
     """N-dimensional array node in the autograd graph.
 
@@ -45,8 +41,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
+        self.data = arr if arr.dtype in FLOAT_DTYPES else arr.astype(np.float32)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -73,9 +70,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def relu(self):
-        return relu(self)
 
 
 _recording = True
@@ -112,20 +106,10 @@ def _accum(t, g):
         t.grad = t.grad + g
 
 
-def _check_broadcast(a_shape, b_shape):
-    """b may add size-1 axes or drop leading axes relative to a; no other
-    implicit promotion is allowed."""
-    if len(b_shape) > len(a_shape):
-        raise ShapeError(f"cannot broadcast {b_shape} onto {a_shape}")
-    for sa, sb in zip(a_shape[::-1], b_shape[::-1]):
-        if sb != sa and sb != 1 and sa != 1:
-            raise ShapeError(f"cannot broadcast {b_shape} onto {a_shape}")
-
-
 def _unbroadcast(g, shape):
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    """Sum ``g`` over each axis where ``shape`` has size 1 and ``g`` does
+    not, one axis at a time in axis order: the per-channel reductions of
+    train-mode batch norm, in the order that keeps their bits."""
     for i, s in enumerate(shape):
         if s == 1 and g.shape[i] != 1:
             g = g.sum(axis=i, keepdims=True)
@@ -143,17 +127,18 @@ def relu(x):
 
 
 def add_relu(a, b):
-    """``relu(a + b)`` as one node, equal to the two ops bit for bit. The
-    sum is a fresh buffer that nothing else holds, so the ReLU runs in
-    place on it."""
-    _check_broadcast(a.shape, b.shape)
+    """``relu(a + b)`` of two tensors of one shape as one node, equal to the
+    two ops bit for bit. The sum is a fresh buffer that nothing else holds,
+    so the ReLU runs in place on it."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add_relu needs equal shapes, got {a.shape} and {b.shape}")
     out = a.data + b.data
     np.maximum(out, 0, out=out)
 
     def bwd(g):
         g = g * (out > 0)
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     return _make(out, (a, b), bwd)
 
@@ -161,17 +146,15 @@ def add_relu(a, b):
 # -- structure -----------------------------------------------------------------
 
 
-def concat(tensors, axis):
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def concat(tensors):
+    """Join (N, C_i, H, W) tensors along the channel axis."""
+    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
 
     def bwd(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
+            _accum(t, g[:, lo:hi])
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
+    return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), bwd)
 
 
 def matmul(a, b):
@@ -344,5 +327,5 @@ class Rng:
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self._gen.normal(loc, scale, size)
 
-    def integers(self, low, high=None, size=None):
+    def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size)

@@ -67,7 +67,7 @@ def _load_dataset(data_spec: str, cfg: RunConfig):
         return phantoms
     if not os.path.isdir(data_spec):
         raise DataError(f"data directory {data_spec!r} does not exist")
-    volumes, masks = {}, {}
+    volumes = {}
     for fname in sorted(os.listdir(data_spec)):
         m = re.match(r"^volume-(.+)\.nii$", fname)
         if not m:
@@ -76,11 +76,10 @@ def _load_dataset(data_spec: str, cfg: RunConfig):
         mask_path = os.path.join(data_spec, f"segmentation-{vid}.nii")
         if not os.path.exists(mask_path):
             raise DataError(f"missing mask volume for {vid!r}")
-        volumes[vid] = read_nifti(os.path.join(data_spec, fname))
-        masks[vid] = read_nifti(mask_path)
+        volumes[vid] = (read_nifti(os.path.join(data_spec, fname)), read_nifti(mask_path))
     if not volumes:
         raise DataError(f"no volume-*.nii files found in {data_spec!r}")
-    return build_slice_dataset(volumes, masks, cfg.window, resize=cfg.data.resize,
+    return build_slice_dataset(volumes, cfg.window, resize=cfg.data.resize,
                                lesion_class=cfg.model.lesion_class)
 
 
@@ -124,8 +123,7 @@ def _input_images(path, cfg):
     phantoms = _phantoms(path, cfg)
     if phantoms is not None:
         return [s.image for s in phantoms]
-    vol = read_nifti(path)
-    return [prepare_slice(hu, cfg.window, cfg.data.resize)[None] for hu in vol.voxels]
+    return [prepare_slice(hu, cfg.window, cfg.data.resize)[None] for hu in read_nifti(path)]
 
 
 def cmd_infer(args):

@@ -1,9 +1,10 @@
 """Volume and checkpoint I/O plus dataset assembly.
 
 Covers a minimal uncompressed NIfTI-1 reader (int16 / float32 / uint8,
-slope/intercept scaling, endianness detection), axial slice-dataset
-construction, a synthetic ellipse-phantom generator for desk-scale
-runs, and the bit-exact binary checkpoint format.
+slope/intercept scaling, endianness detection) that returns a volume as
+its (Z, Y, X) float32 voxels, axial slice-dataset construction, a
+synthetic ellipse-phantom generator for desk-scale runs, and the
+bit-exact binary checkpoint format.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ class DataError(ValueError):
 
 
 @dataclass
-class Volume:
-    dims: tuple  # (X, Y, Z)
-    voxels: np.ndarray  # (Z, Y, X) float32, Hounsfield units
-
-
-@dataclass
 class SliceSample:
     image: np.ndarray  # (1, S, S) float32 in [0, 1]
     mask: np.ndarray  # (S, S) integer labels
@@ -55,16 +50,18 @@ class SliceSample:
 # -- NIfTI-1 ------------------------------------------------------------------
 
 
-def read_nifti(path) -> Volume:
-    """Read an uncompressed single-file NIfTI-1 volume into HU voxels.
+def read_nifti(path) -> np.ndarray:
+    """Read an uncompressed single-file NIfTI-1 volume into its (Z, Y, X)
+    float32 voxels in HU.
 
-    A dim past the third above 1 (a series), or a NaN or an Inf after scaling
-    (stored or made by the slope and intercept), raises ``NiftiError``."""
+    A dim past the third above 1 (a series), a ``vox_offset`` that is not a
+    whole number of bytes, or a NaN or an Inf after scaling (stored or made
+    by the slope and intercept), raises ``NiftiError``."""
     with open(path, "rb") as fh:
-        header = fh.read(348)
-        if len(header) < 348:
-            raise NiftiError(f"header truncated: got {len(header)} bytes, need 348")
-        rest = fh.read()
+        blob = fh.read()
+    if len(blob) < 348:
+        raise NiftiError(f"header truncated: got {len(blob)} bytes, need 348")
+    header = blob[:348]
 
     magic = header[344:348]
     if magic == b"ni1\x00":
@@ -86,8 +83,8 @@ def read_nifti(path) -> Volume:
         raise NiftiError(f"unsupported datatype code {datatype}")
     vox_offset = struct.unpack_from(endian + "f", header, 108)[0]
     # an n+1 file stores its voxels after the header and 4 extension bytes
-    if not (math.isfinite(vox_offset) and vox_offset >= 352):
-        raise NiftiError(f"vox_offset {vox_offset} must be a number >= 352, past the header")
+    if not (math.isfinite(vox_offset) and vox_offset >= 352 and vox_offset.is_integer()):
+        raise NiftiError(f"vox_offset {vox_offset} must be a whole number >= 352, past the header")
     vox_offset = int(vox_offset)
     slope = struct.unpack_from(endian + "f", header, 112)[0]
     inter = struct.unpack_from(endian + "f", header, 116)[0]
@@ -104,58 +101,49 @@ def read_nifti(path) -> Volume:
         raise NiftiError(f"non-positive image dims {(x, y, z)} (dim = {dim})")
     count = x * y * z
     dtype = np.dtype(NIFTI_DTYPES[datatype]).newbyteorder(endian)
-    payload = header + rest
     need = vox_offset + count * dtype.itemsize
-    if len(payload) < need:
+    if len(blob) < need:
         raise NiftiError(
-            f"payload truncated: file has {len(payload)} bytes, "
+            f"payload truncated: file has {len(blob)} bytes, "
             f"voxels need {need} (vox_offset {vox_offset})"
         )
-    raw = np.frombuffer(payload, dtype=dtype, count=count, offset=vox_offset)
+    raw = np.frombuffer(blob, dtype=dtype, count=count, offset=vox_offset)
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
         voxels = (raw.astype(np.float32) * slope + inter).reshape(z, y, x)
     finite = np.isfinite(voxels).reshape(z, -1).all(axis=1)
     if not finite.all():
         raise NiftiError(f"slice {int(np.argmin(finite))} holds a non-finite voxel "
                          "after slope/intercept scaling")
-    return Volume(dims=(x, y, z), voxels=voxels)
+    return voxels
 
 
 # -- dataset assembly -----------------------------------------------------------
 
 
-def build_slice_dataset(
-    volumes,
-    masks,
-    window: WindowSpec,
-    *,
-    resize: int,
-    lesion_class: int,
-):
+def build_slice_dataset(volumes, window: WindowSpec, *, resize: int, lesion_class: int):
     """Axial slices windowed, equalized and resized into SliceSamples.
 
-    ``volumes`` and ``masks`` are mappings volume-id -> Volume; ordering
-    of the result is deterministic by (volume-id, slice-index). Only
-    lesion-bearing slices are kept, plus ``NEIGHBOR_SLICES`` neighbors on
-    each side: slices holding a label at or above ``lesion_class``, so that
-    a label above the last class still reaches ``train``'s label check.
+    ``volumes`` maps volume-id -> (voxels, mask), both (Z, Y, X) arrays as
+    ``read_nifti`` returns them; ordering of the result is deterministic by
+    (volume-id, slice-index). Only lesion-bearing slices are kept, plus
+    ``NEIGHBOR_SLICES`` neighbors on each side: slices holding a label at or
+    above ``lesion_class``, so that a label above the last class still
+    reaches ``train``'s label check.
     """
     samples = []
     for vid in sorted(volumes):
-        vol = volumes[vid]
-        if vid not in masks:
-            raise DataError(f"missing mask volume for {vid!r}")
-        msk = masks[vid]
-        if vol.dims != msk.dims:
-            raise DataError(f"volume {vid!r}: image dims {vol.dims} != mask dims {msk.dims}")
-        z = vol.dims[2]
+        vol, msk = volumes[vid]
+        if vol.shape != msk.shape:
+            raise DataError(f"volume {vid!r}: image dims {vol.shape[::-1]} "
+                            f"!= mask dims {msk.shape[::-1]}")
+        z = len(vol)
         keep = set()
         for i in range(z):
-            if np.any(msk.voxels[i] >= lesion_class):
+            if np.any(msk[i] >= lesion_class):
                 keep.update(range(max(0, i - NEIGHBOR_SLICES), min(z, i + NEIGHBOR_SLICES + 1)))
         for i in sorted(keep):
-            img = prepare_slice(vol.voxels[i], window, resize)
-            m = resize_nearest(msk.voxels[i].astype(np.int64), resize)
+            img = prepare_slice(vol[i], window, resize)
+            m = resize_nearest(msk[i].astype(np.int64), resize)
             samples.append(SliceSample(img[None], m, str(vid), i))
     return samples
 

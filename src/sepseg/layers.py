@@ -106,8 +106,8 @@ class SeparableConv2dParams:
 class BatchNormParams:
     gamma: Tensor  # (C,)
     beta: Tensor  # (C,)
-    running_mean: np.ndarray = None
-    running_var: np.ndarray = None
+    running_mean: np.ndarray  # (C,), updated by train mode
+    running_var: np.ndarray  # (C,)
 
 
 def _kaiming(rng: Rng, shape, fan_in, dtype):
@@ -592,15 +592,17 @@ def bilinear_upsample_2x(x: Tensor) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
-def pixel_shuffle(x: Tensor, r: int) -> Tensor:
-    """Rearrange r^2 channel groups into an r-times-larger spatial grid.
+def pixel_shuffle(x: Tensor) -> Tensor:
+    """Rearrange each group of 4 channels into a 2x2 block of a 2x larger
+    spatial grid (Shi et al., arXiv 1609.05158).
 
     Pure permutation with zero parameters; the backward pass is the
     inverse permutation.
     """
     n, c, h, w = x.shape
+    r = 2
     if c % (r * r):
-        raise ShapeError(f"pixel_shuffle needs channels divisible by r^2={r * r}, got {c}")
+        raise ShapeError(f"pixel_shuffle needs channels divisible by {r * r}, got {c}")
     co = c // (r * r)
     out_data = (
         x.data.reshape(n, co, r, r, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, co, h * r, w * r)

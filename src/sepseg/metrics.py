@@ -5,27 +5,18 @@ coefficient and the Jaccard index of a predicted mask B against a true
 mask A from one count of their intersection and union. The overlap is
 the paper's evaluation ratio and algebraically the Jaccard index, so
 those two are equal; the Dice coefficient is the score LiTS reports.
+
+The loss weighs each pixel by its label's class weight, one float64 entry
+per class, as ``inverse_frequency_weights`` returns them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import ShapeError, Tensor, _accum, _make
 
 WEIGHT_CLAMP = (0.1, 10.0)  # bounds of a class weight after normalization
-
-
-@dataclass
-class ClassWeights:
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if np.any(self.w <= 0):
-            raise ValueError("class weights must be positive")
 
 
 def mask_scores(pred, truth):
@@ -42,12 +33,13 @@ def mask_scores(pred, truth):
     return ntp / union, 2 * ntp / (union + ntp), ntp / union
 
 
-def weighted_cross_entropy(probs: Tensor, labels, weights: ClassWeights) -> Tensor:
+def weighted_cross_entropy(probs: Tensor, labels, weights: np.ndarray) -> Tensor:
     """Mean over pixels of -w[label] * ln(prob[label]), ln clamped at 1e-12.
 
     ``probs`` is (N, C, H, W) with channel sums 1 (e.g. a softmax output,
     through which this loss stays differentiable); ``labels`` is an
-    integer (N, H, W) array.
+    integer (N, H, W) array; ``weights`` is a float64 array of one weight
+    per class.
 
     The loss is one graph node whose only parent is ``probs``. Its value and
     backward run the expressions of the seven-node chain it replaced (pick
@@ -62,7 +54,7 @@ def weighted_cross_entropy(probs: Tensor, labels, weights: ClassWeights) -> Tens
         raise ValueError(f"labels must lie in [0, {c}), got range [{labels.min()}, {labels.max()}]")
     onehot = np.zeros((n, c, h, w), dtype=probs.dtype)
     np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
-    pixel_w = weights.w.astype(probs.dtype)[labels][:, None]  # (N,1,H,W)
+    pixel_w = weights.astype(probs.dtype)[labels][:, None]  # (N,1,H,W)
     picked = (probs.data * onehot).sum(axis=1, keepdims=True)
     clamped = np.maximum(picked, 1e-12)
     scale = 1.0 / picked.size
@@ -100,8 +92,9 @@ def probs_to_mask(probs, lesion_class: int):
     return mask.astype(np.uint8)
 
 
-def inverse_frequency_weights(labels_iter, num_classes) -> ClassWeights:
-    """Inverse-class-frequency weights, normalized to mean 1 and clamped.
+def inverse_frequency_weights(labels_iter, num_classes) -> np.ndarray:
+    """Inverse-class-frequency weights, normalized to mean 1 and clamped to
+    ``WEIGHT_CLAMP``, as a float64 array of one weight per class.
 
     ``labels_iter`` yields integer label arrays (the training split).
     """
@@ -112,4 +105,4 @@ def inverse_frequency_weights(labels_iter, num_classes) -> ClassWeights:
     freq = np.where(counts > 0, counts / max(total, 1), 1.0)
     w = 1.0 / freq
     w = w / w.mean()
-    return ClassWeights(np.clip(w, *WEIGHT_CLAMP))
+    return np.clip(w, *WEIGHT_CLAMP)

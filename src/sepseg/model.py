@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Rng, ShapeError, Tensor, add_relu, concat, no_grad
+from .autograd import Rng, ShapeError, Tensor, add_relu, concat, no_grad, relu
 from .layers import (
     BatchNormParams,
     Conv2dParams,
@@ -100,12 +100,8 @@ class ModelSpec:
 class ResNetBlockSpec:
     in_channels: int
     out_channels: int
-    kernel: int = ModelSpec.kernel
-    uses_separable: bool = True
-
-    @property
-    def shortcut(self):
-        return "identity" if self.in_channels == self.out_channels else "projection-1x1"
+    kernel: int
+    uses_separable: bool
 
 
 @dataclass
@@ -113,7 +109,7 @@ class ResNetBlockParams:
     bn: BatchNormParams
     conv1: object  # Conv2dParams or SeparableConv2dParams
     conv2: object
-    proj: Conv2dParams = None
+    proj: Conv2dParams  # the 1x1 projection shortcut, None when the block keeps its width
 
 
 class Model:
@@ -164,9 +160,7 @@ def _init_block(spec: ResNetBlockSpec, rng: Rng, dtype) -> ResNetBlockParams:
     else:
         conv1 = init_conv2d(ci, co, k, rng, dtype=dtype)
         conv2 = init_conv2d(co, co, k, rng, dtype=dtype)
-    proj = None
-    if spec.shortcut == "projection-1x1":
-        proj = init_conv2d(ci, co, 1, rng, dtype=dtype)
+    proj = init_conv2d(ci, co, 1, rng, dtype=dtype) if ci != co else None
     return ResNetBlockParams(init_batch_norm(ci, dtype), conv1, conv2, proj)
 
 
@@ -193,7 +187,7 @@ def resnet_block_forward(
         )
     conv = separable_conv2d if spec.uses_separable else conv2d
     h = batch_norm(x, params.bn, mode)
-    a = conv(h, params.conv1).relu()
+    a = relu(conv(h, params.conv1))
     a = conv(a, params.conv2)
     if mode == "train" and dropout_rate > 0.0:
         a = dropout(a, dropout_rate, mode, rng)
@@ -238,8 +232,8 @@ def forward(model: Model, x: Tensor, mode: str, rng: Rng = None):
             if plan[i] == "bilinear":
                 cur = bilinear_upsample_2x(cur)
             else:
-                cur = pixel_shuffle(cur, 2)
-            cur = concat([cur, skips.pop()], axis=1)
+                cur = pixel_shuffle(cur)
+            cur = concat([cur, skips.pop()])
             cur = run(stage, cur)
 
         return softmax_channels(conv2d(cur, model.head))

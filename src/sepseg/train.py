@@ -57,10 +57,11 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    lr: float = TrainConfig.lr
-    t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    lr: float
+    # state, not settings: the step count and the moment estimates by name
+    t: int = field(default=0, init=False)
+    m: dict = field(default_factory=dict, init=False)
+    v: dict = field(default_factory=dict, init=False)
 
 
 def adam_step(params, state: AdamState):

@@ -170,7 +170,7 @@ class TestTrainCommand:
                      "--out", str(out)]) == 0
 
         cfg = parse_config(cfg_path.read_text())
-        samples = build_slice_dataset({"0": read_nifti(vol)}, {"0": read_nifti(seg)}, cfg.window,
+        samples = build_slice_dataset({"0": (read_nifti(vol), read_nifti(seg))}, cfg.window,
                                       resize=32, lesion_class=2)
         assert [s.slice_index for s in samples] == list(range(2, 11))
         train_set, val_set = kfold_split(samples, cfg.data.folds, cfg.data.fold_index,

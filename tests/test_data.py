@@ -27,28 +27,29 @@ class TestNiftiReader:
     def test_basic_int16_roundtrip(self, nifti_factory):
         data = np.arange(32, dtype=np.int16).reshape(2, 4, 4)
         vol = read_nifti(nifti_factory("v.nii", data))
-        assert vol.dims == (4, 4, 2)
-        np.testing.assert_array_equal(vol.voxels, data.astype(np.float32))
+        # the voxels themselves, (Z, Y, X) float32, for header dims (X, Y, Z) = (4, 4, 2)
+        assert type(vol) is np.ndarray and vol.dtype == np.float32 and vol.shape == (2, 4, 4)
+        np.testing.assert_array_equal(vol, data.astype(np.float32))
 
     def test_slope_intercept(self, nifti_factory):
         data = np.arange(32, dtype=np.int16).reshape(2, 4, 4)
         vol = read_nifti(nifti_factory("v.nii", data, slope=2.0, inter=-1000.0))
-        np.testing.assert_array_equal(vol.voxels, 2.0 * data - 1000.0)
+        np.testing.assert_array_equal(vol, 2.0 * data - 1000.0)
 
     def test_zero_slope_treated_as_one(self, nifti_factory):
         data = np.ones((1, 2, 2), dtype=np.int16) * 7
         vol = read_nifti(nifti_factory("v.nii", data, slope=0.0, inter=3.0))
-        np.testing.assert_array_equal(vol.voxels, 10.0)
+        np.testing.assert_array_equal(vol, 10.0)
 
     def test_float32_payload(self, nifti_factory):
         data = np.random.default_rng(0).normal(size=(2, 3, 3)).astype(np.float32)
         vol = read_nifti(nifti_factory("v.nii", data, datatype=16))
-        np.testing.assert_array_equal(vol.voxels, data)
+        np.testing.assert_array_equal(vol, data)
 
     def test_big_endian_detected(self, nifti_factory):
         data = np.arange(8, dtype=np.int16).reshape(1, 2, 4)
         vol = read_nifti(nifti_factory("v.nii", data, byteorder=">"))
-        np.testing.assert_array_equal(vol.voxels, data)
+        np.testing.assert_array_equal(vol, data)
 
     def test_detached_header_rejected(self, nifti_factory):
         data = np.zeros((1, 2, 2), dtype=np.int16)
@@ -100,11 +101,20 @@ class TestNiftiReader:
         data = np.arange(32, dtype=np.int16).reshape(2, 4, 4)
         path = nifti_factory("v.nii", data)
         self._patch(path, 40, "<h", 7)  # dim[4..7] are 1
-        np.testing.assert_array_equal(read_nifti(path).voxels, data)
+        np.testing.assert_array_equal(read_nifti(path), data)
 
     @pytest.mark.parametrize("vox_offset", [0.0, 348.0, float("nan"), float("inf")])
     def test_vox_offset_inside_header_rejected(self, nifti_factory, vox_offset):
         path = nifti_factory("v.nii", np.zeros((2, 3, 3), dtype=np.int16))
+        self._patch(path, 108, "<f", vox_offset)
+        with pytest.raises(NiftiError, match="vox_offset"):
+            read_nifti(path)
+
+    @pytest.mark.parametrize("vox_offset", [353.5, 352.25])
+    def test_non_integral_vox_offset_rejected(self, nifti_factory, vox_offset):
+        # truncated to a whole byte, 353.5 would shift every int16 by a byte
+        path = nifti_factory("v.nii", np.arange(18, dtype=np.int16).reshape(2, 3, 3) * 10,
+                             vox_offset=356)
         self._patch(path, 108, "<f", vox_offset)
         with pytest.raises(NiftiError, match="vox_offset"):
             read_nifti(path)
@@ -135,7 +145,7 @@ class TestNiftiReader:
     def test_vox_offset_past_extension_accepted(self, nifti_factory):
         data = np.arange(18, dtype=np.int16).reshape(2, 3, 3)
         vol = read_nifti(nifti_factory("v.nii", data, vox_offset=400))
-        np.testing.assert_array_equal(vol.voxels, data)
+        np.testing.assert_array_equal(vol, data)
 
 
 def _volume_pair(z=5, side=32, lesion_slices=(2,)):
@@ -149,55 +159,57 @@ def _volume_pair(z=5, side=32, lesion_slices=(2,)):
 
 class TestSliceDataset:
     def _read(self, nifti_factory, img, mask, name="0"):
-        from sepseg.data import read_nifti
-
         v = read_nifti(nifti_factory(f"volume-{name}.nii", img))
         m = read_nifti(nifti_factory(f"segmentation-{name}.nii", mask))
-        return v, m
+        return {name: (v, m)}
 
     def test_lesion_filter_empty_when_no_lesion(self, nifti_factory):
         img, mask = _volume_pair(lesion_slices=())
-        v, m = self._read(nifti_factory, img, mask)
-        samples = build_slice_dataset({"0": v}, {"0": m}, WindowSpec(), resize=32, lesion_class=1)
+        volumes = self._read(nifti_factory, img, mask)
+        samples = build_slice_dataset(volumes, WindowSpec(), resize=32, lesion_class=1)
         assert samples == []
 
     def test_lesion_filter_with_neighbors(self, nifti_factory):
         img, mask = _volume_pair(z=8, lesion_slices=(3,))
-        v, m = self._read(nifti_factory, img, mask)
-        samples = build_slice_dataset({"0": v}, {"0": m}, WindowSpec(), resize=32, lesion_class=1)
+        volumes = self._read(nifti_factory, img, mask)
+        samples = build_slice_dataset(volumes, WindowSpec(), resize=32, lesion_class=1)
         assert [s.slice_index for s in samples] == [1, 2, 3, 4, 5]
 
     def test_lesion_filter_keeps_the_lesion_class(self, nifti_factory):
         img, mask = _volume_pair(z=9, lesion_slices=())
         mask[:, 4:28, 4:28] = 1
         mask[4, 8:16, 8:16] = 2
-        v, m = self._read(nifti_factory, img, mask)
-        kept = [[s.slice_index for s in build_slice_dataset({"0": v}, {"0": m}, WindowSpec(), resize=32,
+        volumes = self._read(nifti_factory, img, mask)
+        kept = [[s.slice_index for s in build_slice_dataset(volumes, WindowSpec(), resize=32,
                                                             lesion_class=c)]
                 for c in (2, 1)]
         assert kept == [[2, 3, 4, 5, 6], list(range(9))]
 
     def test_pipeline_value_ranges(self, nifti_factory):
         img, mask = _volume_pair()
-        v, m = self._read(nifti_factory, img, mask)
-        for s in build_slice_dataset({"0": v}, {"0": m}, WindowSpec(), resize=32, lesion_class=1):
+        volumes = self._read(nifti_factory, img, mask)
+        for s in build_slice_dataset(volumes, WindowSpec(), resize=32, lesion_class=1):
             assert s.image.min() >= 0.0 and s.image.max() <= 1.0
             assert set(np.unique(s.mask)) <= {0, 1}
 
-    def test_missing_mask(self, nifti_factory):
-        img, mask = _volume_pair()
-        v, _ = self._read(nifti_factory, img, mask)
+    def test_missing_mask(self, tmp_path, nifti_factory):
+        # the loader of a data directory pairs each volume with its mask
+        from sepseg.cli import _load_dataset
+        from sepseg.config import RunConfig
+
+        img, _ = _volume_pair()
+        nifti_factory("volume-0.nii", img)
         with pytest.raises(DataError, match="'0'"):
-            build_slice_dataset({"0": v}, {}, WindowSpec(), resize=32, lesion_class=1)
+            _load_dataset(str(tmp_path), RunConfig())
 
     def test_dim_mismatch(self, nifti_factory):
         img, _ = _volume_pair()
-        v, _ = self._read(nifti_factory, img, np.zeros((5, 32, 32), dtype=np.int16))
+        v = read_nifti(nifti_factory("volume-0.nii", img))
         bad_mask = read_nifti(
             nifti_factory("segmentation-bad.nii", np.zeros((3, 32, 32), dtype=np.int16))
         )
-        with pytest.raises(DataError, match="dims"):
-            build_slice_dataset({"0": v}, {"0": bad_mask}, WindowSpec(), resize=32, lesion_class=1)
+        with pytest.raises(DataError, match=r"image dims \(32, 32, 5\) != mask dims \(32, 32, 3\)"):
+            build_slice_dataset({"0": (v, bad_mask)}, WindowSpec(), resize=32, lesion_class=1)
 
 
 class TestPhantoms:

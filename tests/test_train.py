@@ -3,7 +3,7 @@ import pytest
 
 from sepseg.autograd import Rng, Tensor, backward
 from sepseg.data import generate_phantom, load_checkpoint, load_into_model
-from sepseg.metrics import ClassWeights, weighted_cross_entropy
+from sepseg.metrics import weighted_cross_entropy
 from sepseg.model import ModelSpec, build_model, forward
 from sepseg.train import (
     AdamState,
@@ -28,7 +28,7 @@ def _scalar_param(value, grad):
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         params = _scalar_param(1.5, 0.0)
-        state = AdamState()
+        state = AdamState(lr=0.001)
         for _ in range(3):
             params["theta"].grad = np.zeros(1, dtype=np.float32)
             adam_step(params, state)
@@ -57,7 +57,7 @@ class TestAdam:
     def test_non_finite_gradient_names_parameter(self):
         params = _scalar_param(0.0, np.nan)
         with pytest.raises(NumericError, match="theta"):
-            adam_step(params, AdamState())
+            adam_step(params, AdamState(lr=0.001))
 
     def test_grad_clip_scales_to_max_norm(self):
         params = _scalar_param(0.0, 30.0)
@@ -193,7 +193,7 @@ class TestTrainingLoop:
         state = AdamState(lr=0.001)
         x = Tensor(np.stack([s.image for s in samples]))
         labels = np.stack([s.mask for s in samples])
-        w = ClassWeights([1.0, 1.0])
+        w = np.array([1.0, 1.0])
         losses = []
         for _ in range(10):
             loss = weighted_cross_entropy(forward(model, x, "train", rng=Rng(0, 1)),
