@@ -3,13 +3,27 @@
 Tensors wrap a numpy array (float32 by default, float64 for gradient
 checking) in row-major layout. The ops take only what the network passes:
 ``add_relu`` adds two tensors of one shape, ``concat`` joins tensors along
-the channel axis, and no op broadcasts. While recording is on (the
-default), every differentiable op with a parent that requires a gradient
-records a backward closure; inside ``no_grad()`` ops record nothing, so
-their outputs hold no parents, closures or captured inputs. Infer-mode
-model forwards run there.
+the channel axis, and no op broadcasts.
 
-``backward()`` walks the graph once in reverse topological order and
+Gradient bookkeeping is kept apart from the data. A ``Tensor`` holds its
+``data`` and its ``node``; the node is ``None`` when the tensor needs no
+gradient. A ``Node`` holds no activation: only the gradient accumulated so
+far, the nodes of its parents that need a gradient (``_parents``) and the
+backward closure. A leaf parameter owns its node, so its ``grad`` lives
+there between ``backward`` and the optimizer step.
+
+A backward closure captures the arrays it reads and its parents' nodes,
+never a parent ``Tensor``, and hands each gradient to ``_accum(node, g)``,
+which ignores a ``None`` node. So a training graph keeps alive only the
+arrays some backward reads: an op's output that no backward reads is freed
+as soon as the forward drops its tensor.
+
+While recording is on (the default), every differentiable op with a parent
+that requires a gradient records a node; inside ``no_grad()`` ops record
+nothing, so their closures and captured arrays are dropped at once.
+Infer-mode model forwards run there.
+
+``backward()`` walks the nodes once in reverse topological order and
 accumulates gradients additively across fan-out. It frees the graph as it
 goes: once a node's closure has run, the node drops its parents, its
 gradient and the closure, so only the leaves keep their ``grad``. A second
@@ -30,24 +44,59 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+class Node:
+    """Gradient bookkeeping of one tensor, with no activation data: the
+    gradient accumulated so far (in ``dtype``), the nodes of the parents
+    that need a gradient, and the backward closure, ``None`` for a leaf."""
+
+    __slots__ = ("grad", "dtype", "_parents", "_backward")
+
+    def __init__(self, dtype, parents, backward_fn):
+        self.grad = None
+        self.dtype = dtype
+        self._parents = parents
+        self._backward = backward_fn
+
+
 class Tensor:
-    """N-dimensional array node in the autograd graph.
+    """An array and, when it needs a gradient, its graph ``node``.
 
     4-D tensors use the (batch, channels, height, width) convention.
     Values are treated as immutable once constructed; only ``data`` of
-    leaf parameters may be updated in place by the optimizer between
-    steps.
+    leaf parameters may be updated by the optimizer between steps.
+    ``grad``, ``_parents`` and ``_backward`` read the node's.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
         self.data = arr if arr.dtype in FLOAT_DTYPES else arr.astype(np.float32)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward = None
+        self.node = Node(self.data.dtype, (), None) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.node.grad = value
+
+    @property
+    def _parents(self):
+        return () if self.node is None else self.node._parents
+
+    @property
+    def _backward(self):
+        return None if self.node is None else self.node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self.node._backward = fn
 
     @property
     def shape(self):
@@ -66,7 +115,8 @@ class Tensor:
         return self.data.dtype
 
     def zero_grad(self):
-        self.grad = None
+        if self.node is not None:
+            self.node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -89,21 +139,24 @@ def no_grad():
 
 
 def _make(data, parents, backward_fn):
+    """A tensor of ``data`` whose node links the nodes of ``parents`` to
+    ``backward_fn``; without recording, or without a parent that needs a
+    gradient, the tensor has no node and the closure is dropped."""
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    if _recording:
+        nodes = tuple(p.node for p in parents if p.node is not None)
+        if nodes:
+            out.node = Node(out.data.dtype, nodes, backward_fn)
     return out
 
 
-def _accum(t, g):
-    if not t.requires_grad:
+def _accum(node, g):
+    if node is None:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+    if node.grad is None:
+        node.grad = np.array(g, dtype=node.dtype, copy=True)
     else:
-        t.grad = t.grad + g
+        node.grad = node.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -120,10 +173,15 @@ def _unbroadcast(g, shape):
 
 
 def relu(x):
-    def bwd(g):
-        _accum(x, g * (x.data > 0))
+    """max(x, 0). The backward tests the sign of the output, the mask of
+    ``x > 0`` (NaN included), so it keeps no input."""
+    out = np.maximum(x.data, 0)
+    xn = x.node
 
-    return _make(np.maximum(x.data, 0), (x,), bwd)
+    def bwd(g):
+        _accum(xn, g * (out > 0))
+
+    return _make(out, (x,), bwd)
 
 
 def add_relu(a, b):
@@ -134,11 +192,12 @@ def add_relu(a, b):
         raise ShapeError(f"add_relu needs equal shapes, got {a.shape} and {b.shape}")
     out = a.data + b.data
     np.maximum(out, 0, out=out)
+    an, bn = a.node, b.node
 
     def bwd(g):
         g = g * (out > 0)
-        _accum(a, g)
-        _accum(b, g)
+        _accum(an, g)
+        _accum(bn, g)
 
     return _make(out, (a, b), bwd)
 
@@ -149,10 +208,11 @@ def add_relu(a, b):
 def concat(tensors):
     """Join (N, C_i, H, W) tensors along the channel axis."""
     offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
+    nodes = [t.node for t in tensors]
 
     def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accum(t, g[:, lo:hi])
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            _accum(node, g[:, lo:hi])
 
     return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), bwd)
 
@@ -163,9 +223,11 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
 
+    ad, bd, an, bn = a.data, b.data, a.node, b.node
+
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(an, g @ bd.T)
+        _accum(bn, ad.T @ g)
 
     return _make(a.data @ b.data, (a, b), bwd)
 
@@ -216,10 +278,10 @@ def _check_im2col_args(x_shape, k, stride, pad):
 def im2col(x, k, stride=1, pad=0):
     """Unfold receptive fields into a (C*k*k) x (N*H_out*W_out) matrix."""
     _check_im2col_args(x.shape, k, stride, pad)
-    x_shape = x.shape
+    x_shape, xn = x.shape, x.node
 
     def bwd(g):
-        _accum(x, _col2im_forward(g, x_shape, k, stride, pad))
+        _accum(xn, _col2im_forward(g, x_shape, k, stride, pad))
 
     return _make(_im2col_forward(x.data, k, stride, pad), (x,), bwd)
 
@@ -236,12 +298,15 @@ def backward(root):
 
     Each interior node is released right after its closure runs: reverse
     topological order has by then run every consumer, so its gradient is
-    complete and nothing reads it again."""
+    complete and nothing reads it again. A root that needs no gradient has
+    no ancestors to reach."""
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.shape}")
+    if root.node is None:
+        return
     topo = []
     visited = set()
-    stack = [(root, False)]
+    stack = [(root.node, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -254,7 +319,7 @@ def backward(root):
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
-    root.grad = np.ones_like(root.data)
+    root.node.grad = np.ones_like(root.data)
     while topo:
         node = topo.pop()
         if node._backward is not None:

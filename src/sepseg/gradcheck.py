@@ -129,8 +129,10 @@ BLOCK_CASES = {"resnet_block_8_16": _case_resnet_block}
 def project(out, proj):
     """``(out * proj).sum()`` as one node, with the bits of the mul and sum nodes it replaced."""
 
+    shape, node = out.shape, out.node
+
     def bwd(g):
-        _accum(out, np.broadcast_to(g, out.shape) * proj)
+        _accum(node, np.broadcast_to(g, shape) * proj)
 
     return _make((out.data * proj).sum(), (out,), bwd)
 

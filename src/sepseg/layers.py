@@ -43,6 +43,13 @@ Train-mode batch norm is one node with the analytic backward, which keeps
 the order of the 14-node primitive graph it replaced and so its bits (see
 ``_batch_norm_train``). Dropout runs in train mode only, as one node that
 multiplies by the scaled keep mask.
+
+A backward closure keeps only the arrays it reads, never a tensor (see
+``autograd``): a conv its input, max pooling its input and output,
+softmax its output, train-mode batch norm the centred input and the
+per-channel standard deviation, dropout its boolean keep mask. Bilinear
+upsampling and pixel shuffle keep no activation, and infer-mode batch
+norm only its per-channel scale besides the input of the gamma gradient.
 """
 
 from __future__ import annotations
@@ -174,15 +181,17 @@ def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     w2 = weight.data.reshape(c_out, c_in)
     out_data = np.matmul(w2, x3)
     out_data += bias.data[:, None]
+    xd, w_shape = x.data, weight.shape
+    xn, wn, bn = x.node, weight.node, bias.node
 
     def bwd(g):
         # (C_out, N*H*W) @ (N*H*W, C_in): the im2col path's one GEMM
         g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
-        x2 = x.data.transpose(1, 0, 2, 3).reshape(c_in, n * h * w)
-        _accum(weight, (g2 @ x2.T).reshape(weight.shape))
-        _accum(bias, g.sum(axis=0).sum(axis=1).sum(axis=1))
-        if x.requires_grad:
-            _accum(x, np.matmul(w2.T, g.reshape(n, c_out, h * w)).reshape(x.shape))
+        x2 = xd.transpose(1, 0, 2, 3).reshape(c_in, n * h * w)
+        _accum(wn, (g2 @ x2.T).reshape(w_shape))
+        _accum(bn, g.sum(axis=0).sum(axis=1).sum(axis=1))
+        if xn is not None:
+            _accum(xn, np.matmul(w2.T, g.reshape(n, c_out, h * w)).reshape(xd.shape))
 
     return _make(out_data.reshape(n, c_out, h, w), (x, weight, bias), bwd)
 
@@ -290,21 +299,23 @@ def _conv2d_same(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """
     _, c, h, w = x.shape
     c_out, _, k, _ = weight.shape
-    out_data = _correlate_same(x.data, weight.data, bias.data)
+    xd, wd = x.data, weight.data
+    xn, wn, bn = x.node, weight.node, bias.node
+    out_data = _correlate_same(xd, wd, bias.data)
 
     def bwd(g):
         wp = w + k - 1
-        gw = np.zeros((c_out, c * k * k), dtype=np.result_type(x.data, g))
+        gw = np.zeros((c_out, c * k * k), dtype=np.result_type(xd, g))
         gb = np.zeros((c_out, _block_rows(c, k, h, wp), wp), dtype=g.dtype)
-        for b, rows, cols in _column_blocks(x.data, k):
+        for b, rows, cols in _column_blocks(xd, k):
             m = rows.stop - rows.start
             gb[:, :m, :w] = g[b, :, rows]
             gw += gb[:, :m].reshape(c_out, m * wp) @ cols.T
-        _accum(weight, gw.reshape(weight.shape))
-        _accum(bias, g.sum(axis=0).sum(axis=1).sum(axis=1))
-        if x.requires_grad:
-            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            _accum(x, _correlate_same(g, flipped, np.zeros(c, dtype=g.dtype)))
+        _accum(wn, gw.reshape(wd.shape))
+        _accum(bn, g.sum(axis=0).sum(axis=1).sum(axis=1))
+        if xn is not None:
+            flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            _accum(xn, _correlate_same(g, flipped, np.zeros(c, dtype=g.dtype)))
 
     return _make(out_data, (x, weight, bias), bwd)
 
@@ -375,33 +386,34 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             if i:
                 a += r
         np.add(a.reshape(m, h, wp)[:, :, :w], bias.data[cs, None, None], out=out_data[b, cs])
+    xd, xn, wn, bn = x.data, x.node, weight.node, bias.node
 
     def bwd(g):
-        xb, xb_in = _padded_flat(cb, h, w, k, x.dtype)
+        xb, xb_in = _padded_flat(cb, h, w, k, xd.dtype)
         gf, gf_in = _padded_flat(cb, h, w, k, g.dtype)
         xtaps = sliding_window_view(xb, h * wp, axis=1)
         gtaps = sliding_window_view(gf, h * wp, axis=1)
-        gwt = np.zeros((c, k, k), dtype=np.result_type(x.data, g))
-        if x.requires_grad:
-            gx, acc = np.empty((n, c, h, w), x.dtype), np.empty((cb, h * wp), x.dtype)
+        gwt = np.zeros((c, k, k), dtype=np.result_type(xd, g))
+        if xn is not None:
+            gx, acc = np.empty((n, c, h, w), xd.dtype), np.empty((cb, h * wp), xd.dtype)
             prod = np.empty((cb, h * wp), dtype=np.result_type(g, dw))
         for b, cs, m in blocks:
-            xb_in[:m] = x.data[b, cs]
+            xb_in[:m] = xd[b, cs]
             gf_in[:m] = g[b, cs]
             gm = gtaps[:m, pad * wp + pad]
             for i in range(k):
                 gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, i * wp : i * wp + k], gm)
-            if x.requires_grad:
+            if xn is not None:
                 a = acc[:m]
                 a.fill(0)
                 for i, j in np.ndindex(k, k):
                     gt = gtaps[:m, (k - 1 - i) * wp + k - 1 - j]
                     a += np.multiply(gt, dw[cs, i, j, None], out=prod[:m])
                 gx[b, cs] = a.reshape(m, h, wp)[:, :, :w]
-        _accum(weight, gwt.reshape(c, 1, k, k))
-        _accum(bias, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            _accum(x, gx)
+        _accum(wn, gwt.reshape(c, 1, k, k))
+        _accum(bn, g.sum(axis=(0, 2, 3)))
+        if xn is not None:
+            _accum(xn, gx)
 
     return _make(out_data.astype(x.dtype, copy=False), (x, weight, bias), bwd)
 
@@ -432,7 +444,9 @@ def _batch_norm_train(x: Tensor, p: BatchNormParams) -> Tensor:
     rule in the order and expression forms of the primitive graph it
     replaced, and keeps its bits: every reduction goes through
     ``_unbroadcast``, and x sums its x-hat term, then its variance term,
-    then the mean's term.
+    then the mean's term. The node keeps the centred input ``d`` and the
+    per-channel ``sd``; the backward recomputes ``xhat = d / sd`` with the
+    forward's expression rather than keeping it.
     """
     n, c, h, w = x.shape
     if n * h * w < 2:
@@ -449,23 +463,26 @@ def _batch_norm_train(x: Tensor, p: BatchNormParams) -> Tensor:
     ve = var + np.asarray(BN_EPS, dtype=x.dtype)
     sd = ve**0.5
     xhat = d / sd
-    out_data = xhat * gamma.data.reshape(stat) + beta.data.reshape(stat)
+    gamma_s = gamma.data.reshape(stat)
+    out_data = xhat * gamma_s + beta.data.reshape(stat)
+    xn, gn, bn = x.node, gamma.node, beta.node
 
     def bwd(g):
-        _accum(gamma, _unbroadcast(g * xhat, stat).reshape(c))
-        _accum(beta, _unbroadcast(g, stat).reshape(c))
-        if not x.requires_grad:
+        _accum(gn, _unbroadcast(g * (d / sd), stat).reshape(c))
+        _accum(bn, _unbroadcast(g, stat).reshape(c))
+        if xn is None:
             return
-        g_xhat = g * gamma.data.reshape(stat)
-        # div's -g*a/(b*b) and power's g*p*x**(p-1), as the primitive ops wrote them
+        g_xhat = g * gamma_s
+        # div's -g*a/(b*b) and power's g*p*x**(p-1), as the primitive ops
+        # wrote them; x**1 is x, so the square's power term multiplies by d
         g_sd = _unbroadcast(-g_xhat * d / (sd * sd), stat)
         g_var = g_sd * 0.5 * ve ** (0.5 - 1)
         g_d_xhat = g_xhat / sd
-        g_d_var = g_var * inv_count * 2 * d**1
+        g_d_var = g_var * inv_count * 2 * d
         g_mu = _unbroadcast(-g_d_xhat, stat) + _unbroadcast(-g_d_var, stat)
         g_x = g_d_xhat + g_d_var
         g_x += g_mu * inv_count
-        _accum(x, g_x)
+        _accum(xn, g_x)
 
     return _make(out_data, (x, gamma, beta), bwd)
 
@@ -485,13 +502,13 @@ def _batch_norm_infer(x: Tensor, p: BatchNormParams) -> Tensor:
     shift = beta.data - mean * scale
     out_data = x.data * scale.reshape(1, c, 1, 1)
     out_data += shift.reshape(1, c, 1, 1)
+    xd, xn, gn, bn = x.data, x.node, gamma.node, beta.node
 
     def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * scale.reshape(1, c, 1, 1))
-        centred = x.data - mean.reshape(1, c, 1, 1)
-        _accum(gamma, (g * centred).sum(axis=(0, 2, 3)) / std)
-        _accum(beta, g.sum(axis=(0, 2, 3)))
+        _accum(xn, g * scale.reshape(1, c, 1, 1))
+        centred = xd - mean.reshape(1, c, 1, 1)
+        _accum(gn, (g * centred).sum(axis=(0, 2, 3)) / std)
+        _accum(bn, g.sum(axis=(0, 2, 3)))
 
     return _make(out_data, (x, gamma, beta), bwd)
 
@@ -513,7 +530,7 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool_2x2 needs even spatial dims, got {h}x{w}")
     ho, wo = h // 2, w // 2
-    d = x.data
+    d, xn = x.data, x.node
     out_data = np.maximum(d[:, :, 1::2, 1::2], d[:, :, 1::2, 0::2])
     np.maximum(out_data, d[:, :, 0::2, 1::2], out=out_data)
     np.maximum(out_data, d[:, :, 0::2, 0::2], out=out_data)
@@ -526,7 +543,7 @@ def max_pool_2x2(x: Tensor) -> Tensor:
             hit = free & ((v == out_data) | np.isnan(v))
             np.copyto(gx[:, :, a::2, b::2], g, where=hit)
             free &= ~hit
-        _accum(x, gx)
+        _accum(xn, gx)
 
     return _make(out_data, (x,), bwd)
 
@@ -585,9 +602,10 @@ def _upsample2x_axis_adjoint(g, axis):
 def bilinear_upsample_2x(x: Tensor) -> Tensor:
     """2x bilinear upsampling with half-pixel centers and border clamping."""
     out_data = _upsample2x_axis(_upsample2x_axis(x.data, 2), 3)
+    xn = x.node
 
     def bwd(g):
-        _accum(x, _upsample2x_axis_adjoint(_upsample2x_axis_adjoint(g, 3), 2))
+        _accum(xn, _upsample2x_axis_adjoint(_upsample2x_axis_adjoint(g, 3), 2))
 
     return _make(out_data, (x,), bwd)
 
@@ -607,10 +625,11 @@ def pixel_shuffle(x: Tensor) -> Tensor:
     out_data = (
         x.data.reshape(n, co, r, r, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, co, h * r, w * r)
     )
+    xn = x.node
 
     def bwd(g):
         _accum(
-            x,
+            xn,
             g.reshape(n, co, h, r, w, r).transpose(0, 1, 3, 5, 2, 4).reshape(n, c, h, w),
         )
 
@@ -625,13 +644,14 @@ def dropout(x: Tensor, rate: float, mode: str, rng: Rng) -> Tensor:
     """
     if mode != "train" or rng is None:
         raise ValueError(f"dropout runs only in train mode with an Rng, got mode {mode!r}")
-    keep = (rng.uniform(size=x.shape) >= rate).astype(x.dtype)
-    mask = keep / (1.0 - rate)
+    keep = rng.uniform(size=x.shape) >= rate
+    dtype, xn = x.dtype, x.node
 
     def bwd(g):
-        _accum(x, g * mask)
+        # the node keeps the boolean mask and rebuilds the scaled one
+        _accum(xn, g * (keep.astype(dtype) / (1.0 - rate)))
 
-    return _make(x.data * mask, (x,), bwd)
+    return _make(x.data * (keep.astype(dtype) / (1.0 - rate)), (x,), bwd)
 
 
 def softmax_channels(x: Tensor) -> Tensor:
@@ -639,8 +659,9 @@ def softmax_channels(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=1, keepdims=True)
+    xn = x.node
 
     def bwd(g):
-        _accum(x, s * (g - (g * s).sum(axis=1, keepdims=True)))
+        _accum(xn, s * (g - (g * s).sum(axis=1, keepdims=True)))
 
     return _make(s, (x,), bwd)

@@ -58,11 +58,12 @@ def weighted_cross_entropy(probs: Tensor, labels, weights: np.ndarray) -> Tensor
     picked = (probs.data * onehot).sum(axis=1, keepdims=True)
     clamped = np.maximum(picked, 1e-12)
     scale = 1.0 / picked.size
+    pn = probs.node
 
     def bwd(g):
         gp = np.broadcast_to(g * scale, picked.shape) * pixel_w * -1.0
         gp = np.where(picked >= 1e-12, gp / clamped, 0.0)
-        _accum(probs, np.broadcast_to(gp, probs.shape) * onehot)
+        _accum(pn, np.broadcast_to(gp, onehot.shape) * onehot)
 
     return _make((-np.log(clamped) * pixel_w).sum() * scale, (probs,), bwd)
 

@@ -28,6 +28,8 @@ class WindowSpec:
     high: float = 200.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ValueError(f"window bounds must be finite, got {self.low} and {self.high}")
         if not self.low < self.high:
             raise ValueError(f"window low {self.low} must be below high {self.high}")
 

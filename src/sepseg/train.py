@@ -47,8 +47,8 @@ class TrainConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if not self.lr >= 0.0:
-            raise ValueError(f"learning rate must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < np.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
         if self.eval_every < 1:
             raise ValueError(f"eval interval must be >= 1, got {self.eval_every}")
         if self.seed < 0:

@@ -43,8 +43,8 @@ def add(a, b):
     check_broadcast(a.shape, b.shape)
 
     def bwd(g):
-        _accum(a, unbroadcast(g, a.shape))
-        _accum(b, unbroadcast(g, b.shape))
+        _accum(a.node, unbroadcast(g, a.shape))
+        _accum(b.node, unbroadcast(g, b.shape))
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -56,9 +56,9 @@ def mul(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, unbroadcast(g * b.data, a.shape))
+            _accum(a.node, unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            _accum(b, unbroadcast(g * a.data, b.shape))
+            _accum(b.node, unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), bwd)
 
@@ -68,6 +68,6 @@ def tensor_sum(x, axis=None, keepdims=False):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.shape))
+        _accum(x.node, np.broadcast_to(g, x.shape))
 
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)

@@ -113,7 +113,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("line", ["model.variant = foo", "folds = 1", "fold-index = 9",
                                       "data.window-low = 300", "data.resize = 30", "seed = -1",
                                       "train.iterations = 0", "train.iterations = -3",
-                                      "train.dropout = 1"])
+                                      "train.dropout = 1", "data.window-low = -inf",
+                                      "data.window-high = inf", "train.lr = inf"])
     def test_invalid_value_exit_1_names_its_line(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_CONFIG + line + "\n")
@@ -429,7 +430,7 @@ class TestGradcheckCommand:
         def broken_double(x):
             # wrong backward rule on purpose: claims d(2x)/dx = 3
             def bwd(g):
-                _accum(x, 3.0 * g)
+                _accum(x.node, 3.0 * g)
 
             return _make(2.0 * x.data, (x,), bwd)
 
