@@ -28,6 +28,8 @@ accumulates gradients additively across fan-out. It frees the graph as it
 goes: once a node's closure has run, the node drops its parents, its
 gradient and the closure, so only the leaves keep their ``grad``. A second
 ``backward`` through a released graph raises ``RuntimeError``.
+
+Every random draw comes from an ``Rng``: numpy's ``Generator`` with named substreams.
 """
 
 from __future__ import annotations
@@ -367,12 +369,12 @@ def grad_check(f, x):
 # -- deterministic RNG --------------------------------------------------------
 
 
-class Rng:
-    """Deterministic PCG64 generator with named substreams.
+class Rng(np.random.Generator):
+    """A numpy ``Generator`` on PCG64 with named substreams.
 
-    Identical (seed, stream path, call sequence) produce identical output
-    on every platform. Substreams are derived via SeedSequence spawn keys,
-    so per-worker/per-sample streams are order-independent.
+    ``Rng(seed, stream)`` seeds PCG64 from ``SeedSequence(seed, spawn_key=stream)``,
+    so identical (seed, stream path, call sequence) draw identically on every
+    platform; ``substream(*ids)`` extends the path, so streams are order-independent.
     """
 
     def __init__(self, seed, stream=()):
@@ -380,17 +382,7 @@ class Rng:
             stream = (stream,)
         self.seed = int(seed)
         self.stream = tuple(int(s) for s in stream)
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.stream)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        super().__init__(np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.stream)))
 
     def substream(self, *ids):
         return Rng(self.seed, self.stream + tuple(int(i) for i in ids))
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def integers(self, low, high, size=None):
-        return self._gen.integers(low, high, size)

@@ -123,7 +123,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 

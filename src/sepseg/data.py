@@ -128,7 +128,8 @@ def build_slice_dataset(volumes, window: WindowSpec, *, resize: int, lesion_clas
     (volume-id, slice-index). Only lesion-bearing slices are kept, plus
     ``NEIGHBOR_SLICES`` neighbors on each side: slices holding a label at or
     above ``lesion_class``, so that a label above the last class still
-    reaches ``train``'s label check.
+    reaches ``train``'s label check. A label that is not a whole number, as a
+    float mask or a mask's ``scl_slope`` can make, raises ``DataError``.
     """
     samples = []
     for vid in sorted(volumes):
@@ -137,6 +138,10 @@ def build_slice_dataset(volumes, window: WindowSpec, *, resize: int, lesion_clas
             raise DataError(f"volume {vid!r}: image dims {vol.shape[::-1]} "
                             f"!= mask dims {msk.shape[::-1]}")
         z = len(vol)
+        whole = (msk == np.floor(msk)).reshape(z, -1).all(axis=1)
+        if not whole.all():
+            raise DataError(f"volume {vid!r} slice {int(np.argmin(whole))}: mask holds a "
+                            "label that is not a whole number")
         keep = set()
         for i in range(z):
             if np.any(msk[i] >= lesion_class):
@@ -238,7 +243,10 @@ def load_checkpoint(path):
             end = off + 4 * size
             if end > len(blob):
                 raise CheckpointError(f"truncated payload for entry {name!r}")
-            arr = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(shape)
+            try:
+                arr = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(shape)
+            except ValueError as exc:  # a rank above 64, or extents numpy cannot hold
+                raise CheckpointError(f"entry {name!r} has unusable shape {shape}: {exc}") from exc
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"entry {name!r} holds a NaN or an Inf")
             out[name] = arr.astype(np.float32)

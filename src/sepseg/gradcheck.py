@@ -97,7 +97,7 @@ def _case_resnet_block(rng):
     spec = ResNetBlockSpec(8, 16, kernel=3, uses_separable=True)
     params = _init_block(spec, Rng(int(rng.integers(0, 2**31)), 0), np.float64)
     x = rng.normal(size=(1, 8, 8, 8)) + 0.05
-    return lambda t: resnet_block_forward(spec, params, t, "train"), {"input": x}
+    return lambda t: resnet_block_forward(params, t, "train", None, 0.0), {"input": x}
 
 
 LAYER_CASES = {

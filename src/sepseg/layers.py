@@ -131,9 +131,8 @@ def init_conv2d(c_in, c_out, k, rng, dtype):
 def init_separable_conv2d(c_in, c_out, k, rng, dtype):
     dw = _kaiming(rng, (c_in, 1, k, k), k * k, dtype)
     db = Tensor(np.zeros(c_in, dtype=dtype), requires_grad=True)
-    pw = _kaiming(rng, (c_out, c_in, 1, 1), c_in, dtype)
-    pb = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
-    return SeparableConv2dParams(dw, db, pw, pb)
+    pw = init_conv2d(c_in, c_out, 1, rng, dtype)
+    return SeparableConv2dParams(dw, db, pw.weight, pw.bias)
 
 
 def init_batch_norm(c, dtype):

@@ -69,23 +69,22 @@ def weighted_cross_entropy(probs: Tensor, labels, weights: np.ndarray) -> Tensor
 
 
 def probs_to_mask(probs, lesion_class: int):
-    """Per-pixel argmax == lesion_class, by the argmax's rules: on a tie the
-    lower index wins, and the first NaN wins.
+    """Per-pixel channel argmax of the (N, C, H, W) array ``probs`` ==
+    lesion_class, by its rules: on a tie the lower index wins, and the first NaN wins.
 
     One compare per other channel instead of an argmax over the channel
     axis: the lesion channel must beat every lower channel (be greater, or
     be NaN where that channel is not) and lose to no higher one (be at least
     as great, or be NaN).
     """
-    data = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
-    c = data.shape[1]
+    c = probs.shape[1]
     if not 0 <= lesion_class < c:
         raise ValueError(f"lesion class {lesion_class} out of range for {c} classes")
-    v = data[:, lesion_class]
+    v = probs[:, lesion_class]
     nan = np.isnan(v)
     mask = np.ones(v.shape, dtype=bool)
     for ch in range(c):
-        u = data[:, ch]
+        u = probs[:, ch]
         if ch < lesion_class:
             mask &= (v > u) | (nan & ~np.isnan(u))
         elif ch > lesion_class:

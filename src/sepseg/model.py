@@ -117,7 +117,6 @@ class Model:
 
     def __init__(self, spec: ModelSpec, blocks: "OrderedDict[str, ResNetBlockParams]", head: Conv2dParams):
         self.spec = spec
-        self.block_specs = dict(spec.block_specs())
         self.blocks = blocks
         self.head = head
 
@@ -172,20 +171,16 @@ def build_model(spec: ModelSpec, rng: Rng, dtype=np.float32) -> Model:
     return Model(spec, blocks, head)
 
 
-def resnet_block_forward(
-    spec: ResNetBlockSpec, params: ResNetBlockParams, x: Tensor, mode: str, rng: Rng = None,
-    dropout_rate: float = 0.0,
-) -> Tensor:
-    """y = relu(conv2(relu(conv1(bn(x)))) + shortcut(bn(x))).
-
-    Dropout (train mode only) acts on the conv2 output before the
-    residual add.
-    """
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(
-            f"block expects {spec.in_channels} input channels, got {x.shape[1]}"
-        )
-    conv = separable_conv2d if spec.uses_separable else conv2d
+def resnet_block_forward(params: ResNetBlockParams, x: Tensor, mode: str, rng: Rng,
+                         dropout_rate: float) -> Tensor:
+    """y = relu(conv2(relu(conv1(bn(x)))) + shortcut(bn(x))), as ``params``
+    define it: the input width is the batch norm's, the convs are separable
+    when ``conv1`` is, and ``proj`` is the 1x1 shortcut or ``None``. Dropout
+    (train mode only) acts on the conv2 output before the residual add."""
+    c_in = params.bn.gamma.shape[0]
+    if x.shape[1] != c_in:
+        raise ShapeError(f"block expects {c_in} input channels, got {x.shape[1]}")
+    conv = separable_conv2d if isinstance(params.conv1, SeparableConv2dParams) else conv2d
     h = batch_norm(x, params.bn, mode)
     a = relu(conv(h, params.conv1))
     a = conv(a, params.conv2)
@@ -213,9 +208,7 @@ def forward(model: Model, x: Tensor, mode: str, rng: Rng = None):
         )
 
     def run(stage, t):
-        return resnet_block_forward(
-            model.block_specs[stage], model.blocks[stage], t, mode, rng, spec.dropout_rate
-        )
+        return resnet_block_forward(model.blocks[stage], t, mode, rng, spec.dropout_rate)
 
     # infer mode builds no graph: nothing is kept for a backward that never runs
     with no_grad() if mode == "infer" else contextlib.nullcontext():
@@ -246,7 +239,7 @@ def predict_masks(model: Model, images, lesion_class: int):
     A mask depends on its own image only: every kernel runs image by
     image, so both variants have the bits of any batch.
     """
-    return [probs_to_mask(forward(model, Tensor(image[None]), mode="infer"), lesion_class)[0]
+    return [probs_to_mask(forward(model, Tensor(image[None]), mode="infer").data, lesion_class)[0]
             for image in images]
 
 

@@ -98,15 +98,15 @@ def resize_nearest(x, target: int):
     return x[np.ix_(sy, sx)]
 
 
-def _sample_at(image, sy, sx, interp):
-    """Sample image at fractional (sy, sx) grids; out-of-bounds fill 0."""
+def _warp_pair(image, mask, sy, sx):
+    """Sample ``image`` bilinearly and ``mask`` at the nearest pixel at the
+    fractional grids (sy, sx); a point outside the image reads 0 in both.
+    The image comes back float32, the mask in its own dtype."""
     h, w = image.shape
     inside = (sy >= 0) & (sy <= h - 1) & (sx >= 0) & (sx <= w - 1)
-    if interp == "nearest":
-        iy = np.clip(np.rint(sy).astype(int), 0, h - 1)
-        ix = np.clip(np.rint(sx).astype(int), 0, w - 1)
-        out = image[iy, ix]
-        return np.where(inside, out, 0).astype(image.dtype)
+    iy = np.clip(np.rint(sy).astype(int), 0, h - 1)
+    ix = np.clip(np.rint(sx).astype(int), 0, w - 1)
+    warped_mask = np.where(inside, mask[iy, ix], 0).astype(mask.dtype)
     cy = np.clip(sy, 0, h - 1)
     cx = np.clip(sx, 0, w - 1)
     y0 = np.floor(cy).astype(int)
@@ -121,11 +121,7 @@ def _sample_at(image, sy, sx, interp):
         + image[y1, x0] * ty * (1 - tx)
         + image[y1, x1] * ty * tx
     )
-    return np.where(inside, out, 0.0).astype(np.float32)
-
-
-def _warp_pair(image, mask, sy, sx):
-    return _sample_at(image, sy, sx, "bilinear"), _sample_at(mask, sy, sx, "nearest")
+    return np.where(inside, out, 0.0).astype(np.float32), warped_mask
 
 
 def rotate_pair(image, mask, angle_degrees: float):
@@ -143,11 +139,6 @@ def rotate_pair(image, mask, angle_degrees: float):
     sy = c * yy - s * xx + cy
     sx = s * yy + c * xx + cx
     return _warp_pair(image, mask, sy, sx)
-
-
-def random_rotate(image, mask, rng: Rng):
-    angle = rng.uniform(-MAX_ROTATION_DEGREES, MAX_ROTATION_DEGREES)
-    return rotate_pair(image, mask, angle)
 
 
 def gaussian_filter(x, sigma: float):
@@ -199,6 +190,8 @@ def elastic_deform(image, mask, rng: Rng):
 
 
 def augment_pair(image, mask, rng: Rng):
-    """Full augmentation: random rotation then elastic/zoom deformation."""
-    image, mask = random_rotate(image, mask, rng)
+    """Full augmentation: a rotation by an angle drawn uniformly within
+    ``MAX_ROTATION_DEGREES``, then elastic/zoom deformation."""
+    angle = rng.uniform(-MAX_ROTATION_DEGREES, MAX_ROTATION_DEGREES)
+    image, mask = rotate_pair(image, mask, angle)
     return elastic_deform(image, mask, rng)

@@ -65,8 +65,8 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState):
-    """One Adam update over named parameters; gradients are consumed from
-    each tensor's ``grad`` and reset afterwards."""
+    """One Adam update of named parameters and their moments, in place;
+    gradients are consumed from each tensor's ``grad`` and reset afterwards."""
     state.t += 1
     t = state.t
     bc1 = 1.0 - ADAM_BETA1**t
@@ -80,11 +80,12 @@ def adam_step(params, state: AdamState):
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = state.m[name], state.v[name]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.zero_grad()
 
 
@@ -99,7 +100,7 @@ def clip_gradients(params):
         scale = GRAD_CLIP / norm
         for p in params.values():
             if p.grad is not None:
-                p.grad = p.grad * scale
+                p.grad *= scale
     return norm
 
 

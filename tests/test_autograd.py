@@ -329,3 +329,20 @@ def test_rng_determinism_and_substreams():
     d1 = Rng(42).substream(1, 2).normal(size=4)
     d2 = Rng(42).substream(1, 2).normal(size=4)
     np.testing.assert_array_equal(d1, d2)
+
+
+def test_rng_draws_are_pinned():
+    # literal draws of Rng(seed, stream) and of a substream; a change to how
+    # the generator is seeded or drawn from changes every seeded run
+    r = Rng(3, (1, 2))
+    assert r.normal(size=3).tolist() == [0.95520793694578, 0.6178899598437039,
+                                         -0.04134560201818933]
+    assert r.uniform(-1.0, 2.0, 2).tolist() == [-0.16864827772851254, -0.10015692717632074]
+    assert r.integers(0, 2**62, 2).tolist() == [1275134820472494514, 311848094259910765]
+    assert r.normal(0.0, 0.5) == -0.8213174648294348
+    s = r.substream(4)
+    assert (s.seed, s.stream) == (3, (1, 2, 4))
+    assert s.normal(size=2).tolist() == [1.347017939717327, 0.34992663409090113]
+    assert s.integers(0, 10) == 4
+    assert Rng(0, 9).substream(1).uniform(0.15, 0.35) == 0.33671770040836363
+    assert Rng(7).uniform(size=2).tolist() == [0.625095466604667, 0.8972138009695755]

@@ -151,6 +151,29 @@ class TestTrainCommand:
         assert err.startswith("data error:") and "Traceback" not in err
         assert f"volume '0' slice 2: mask label {label} outside [0, 2)" in err
 
+    def test_non_integral_mask_label_exit_2(self, tmp_path, config_path, nifti_factory, capsys):
+        (tmp_path / "data").mkdir()
+        mask = np.zeros((4, 32, 32), dtype=np.float32)
+        mask[1, 8:16, 8:16] = 1
+        mask[2, 0, 0], mask[3, 0, 0] = 1.7, 0.6
+        nifti_factory("data/volume-0.nii", np.zeros((4, 32, 32), dtype=np.int16))
+        nifti_factory("data/segmentation-0.nii", mask, datatype=16)
+        code = main(["train", "--config", config_path,
+                     "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "volume '0' slice 2:" in err
+        assert not (tmp_path / "out" / "best.ckpt").exists()
+
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(SMALL_CONFIG.encode() + b"# \xff\n")
+        code = main(["train", "--config", str(cfg), "--data", "phantoms:8x32",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "utf-8" in err
+
     def test_three_labels_score_the_last_class(self, tmp_path, nifti_factory):
         # LiTS's labels: liver (1) on all 14 slices, lesion (2) on slices 4-8
         from sepseg.data import build_slice_dataset, load_checkpoint, load_into_model, read_nifti
@@ -265,6 +288,16 @@ class TestInferEval:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("checkpoint mismatch:") and message in err
+
+    def test_unusable_entry_shape_exit_4(self, tmp_path, config_path, capsys):
+        ckpt = tmp_path / "rank65.ckpt"
+        ckpt.write_bytes(b"SSEG" + struct.pack("<III", 1, 1, 1) + b"w"
+                         + struct.pack("<66I", 65, *[1] * 65) + bytes(4))
+        code = main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
+                     "--input", "phantoms:4x32", "--out", str(tmp_path / "x")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint mismatch:") and "entry 'w'" in err
 
     @pytest.mark.parametrize("command", ["infer", "eval"])
     def test_non_finite_checkpoint_exit_4(self, tmp_path, config_path, capsys, command):

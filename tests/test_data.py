@@ -211,6 +211,29 @@ class TestSliceDataset:
         with pytest.raises(DataError, match=r"image dims \(32, 32, 5\) != mask dims \(32, 32, 3\)"):
             build_slice_dataset({"0": (v, bad_mask)}, WindowSpec(), resize=32, lesion_class=1)
 
+    @pytest.mark.parametrize("stored", ["float32 labels", "scl_slope"])
+    def test_non_integral_mask_label_names_its_slice(self, nifti_factory, stored):
+        # 1.7 on slice 2 and 0.6 on slice 3 would become labels 1 and 0
+        img, mask = _volume_pair(lesion_slices=())
+        if stored == "float32 labels":
+            mask = mask.astype(np.float32)
+            mask[2, 4, 4], mask[3, 5, 5] = 1.7, 0.6
+            m = read_nifti(nifti_factory("segmentation-0.nii", mask, datatype=16))
+        else:
+            mask[2, 4, 4], mask[3, 5, 5] = 17, 6
+            m = read_nifti(nifti_factory("segmentation-0.nii", mask, slope=0.1))
+        v = read_nifti(nifti_factory("volume-0.nii", img))
+        with pytest.raises(DataError, match="volume '0' slice 2: .*not a whole number"):
+            build_slice_dataset({"0": (v, m)}, WindowSpec(), resize=32, lesion_class=1)
+
+    def test_whole_float_labels_accepted(self, nifti_factory):
+        img, mask = _volume_pair(lesion_slices=(2,))
+        m = read_nifti(nifti_factory("segmentation-0.nii", mask * 4, slope=0.25))
+        v = read_nifti(nifti_factory("volume-0.nii", img))
+        samples = build_slice_dataset({"0": (v, m)}, WindowSpec(), resize=32, lesion_class=1)
+        assert [s.slice_index for s in samples] == [0, 1, 2, 3, 4]
+        assert all(set(np.unique(s.mask)) <= {0, 1} for s in samples)
+
 
 class TestPhantoms:
     def test_count_and_nonempty_masks(self):
@@ -327,6 +350,18 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, path)
         with pytest.raises(CheckpointError, match=f"{names[3]}.*NaN or an Inf"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape,payload,reason", [
+        ((1,) * 65, bytes(4), "maximum supported dimension"),
+        ((2**32 - 1,) * 3 + (0,), b"", "cannot reshape"),
+        ((0,) + (2**32 - 1,) * 3, b"", "too big"),
+    ], ids=["rank 65", "zero size, huge extents", "too big"])
+    def test_unusable_entry_shape_rejected_by_name(self, tmp_path, shape, payload, reason):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"SSEG" + struct.pack("<III", 1, 1, 1) + b"w"
+                         + struct.pack(f"<I{len(shape)}I", len(shape), *shape) + payload)
+        with pytest.raises(CheckpointError, match=f"entry 'w' has unusable shape.*{reason}"):
             load_checkpoint(path)
 
     def test_checkpoint_with_statistics_loads(self, tmp_path):

@@ -110,13 +110,11 @@ UNPASSED_DEFAULTS = {
 
 # defaulted parameters that every call in src/sepseg passes, each kept for a
 # stated reason
-ALWAYS_PASSED_DEFAULTS = {
-    ("autograd", "Rng.normal", "size"),  # mirrors numpy's normal(loc, scale, size)
-}
+ALWAYS_PASSED_DEFAULTS = set()
 
 # settable values in src/sepseg (see ``settable_values``); a change that adds
 # one raises this bound and says why
-SETTABLE_VALUES_BOUND = 65
+SETTABLE_VALUES_BOUND = 56
 
 
 def _field_keywords(node):

@@ -386,21 +386,22 @@ class TestResNetBlock:
                 t.data = np.zeros_like(t.data)
         monkeypatch.setattr(layers, "BN_EPS", 1e-12)
         x = Tensor(np.abs(np.random.default_rng(0).normal(size=(1, 4, 4, 4))).astype(np.float32))
-        out = resnet_block_forward(spec, params, x, "infer")
+        out = resnet_block_forward(params, x, "infer", None, 0.0)
         np.testing.assert_allclose(out.data, x.data, atol=1e-4)
 
     def test_projection_changes_channels(self):
         spec = ResNetBlockSpec(4, 8, 3, True)
         params = _init_block(spec, Rng(1), np.float32)
         assert params.proj is not None
-        out = resnet_block_forward(spec, params, Tensor(np.zeros((1, 4, 6, 6), dtype=np.float32)), "infer")
+        out = resnet_block_forward(params, Tensor(np.zeros((1, 4, 6, 6), dtype=np.float32)), "infer",
+                                   None, 0.0)
         assert out.shape == (1, 8, 6, 6)
 
     def test_channel_mismatch(self):
         spec = ResNetBlockSpec(4, 8, 3, True)
         params = _init_block(spec, Rng(1), np.float32)
         with pytest.raises(ShapeError):
-            resnet_block_forward(spec, params, Tensor(np.zeros((1, 3, 6, 6))), "infer")
+            resnet_block_forward(params, Tensor(np.zeros((1, 3, 6, 6))), "infer", None, 0.0)
 
 
 class TestParameterAudit:

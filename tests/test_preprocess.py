@@ -4,12 +4,12 @@ import pytest
 from sepseg.autograd import Rng
 from sepseg.preprocess import (
     ELASTIC_ALPHA,
+    MAX_ROTATION_DEGREES,
     WindowSpec,
     augment_pair,
     elastic_deform,
     gaussian_filter,
     histogram_equalize,
-    random_rotate,
     resize_bilinear,
     resize_nearest,
     rotate_pair,
@@ -117,7 +117,8 @@ class TestRotation:
     def test_random_rotation_preserves_shapes_and_binary_mask(self):
         img = np.random.default_rng(3).uniform(size=(16, 16)).astype(np.float32)
         mask = (img > 0.5).astype(np.int64)
-        out_img, out_mask = random_rotate(img, mask, Rng(0, 5))
+        angle = Rng(0, 5).uniform(-MAX_ROTATION_DEGREES, MAX_ROTATION_DEGREES)
+        out_img, out_mask = rotate_pair(img, mask, angle)
         assert out_img.shape == img.shape and out_mask.shape == mask.shape
         assert set(np.unique(out_mask)) <= {0, 1}
 

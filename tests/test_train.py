@@ -59,6 +59,46 @@ class TestAdam:
         with pytest.raises(NumericError, match="theta"):
             adam_step(params, AdamState(lr=0.001))
 
+    def test_step_after_warm_up_peaks_at_three_parameter_sizes(self):
+        # once the first step has made the moments, a step updates them and
+        # the parameter in place; the bias-corrected update needs at most
+        # three parameter-sized temporaries at once
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            p = Tensor(np.zeros(1 << 18, dtype=np.float32), requires_grad=True)
+            grad = np.random.default_rng(0).normal(size=p.shape).astype(np.float32)
+            state = AdamState(lr=0.001)
+            peaks = []
+            for _ in range(3):
+                p.grad = grad.copy()
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                adam_step({"theta": p}, state)
+                peaks.append((tracemalloc.get_traced_memory()[1] - start) / p.data.nbytes)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks[1:]) <= 3.25, peaks
+
+    def test_in_place_step_keeps_the_bits(self):
+        # the plain expressions, one new array each, against adam_step
+        rng = np.random.default_rng(1)
+        p = Tensor(rng.normal(size=(3, 5)).astype(np.float32), requires_grad=True)
+        data, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+        state = AdamState(lr=0.01)
+        for t in range(1, 4):
+            g = rng.normal(size=p.shape).astype(np.float32)
+            p.grad = g.copy()
+            adam_step({"theta": p}, state)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            data = data - 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert p.data.dtype == np.float32
+            np.testing.assert_array_equal(p.data, data)
+            np.testing.assert_array_equal(state.m["theta"], m)
+            np.testing.assert_array_equal(state.v["theta"], v)
+
     def test_grad_clip_scales_to_max_norm(self):
         params = _scalar_param(0.0, 30.0)
         norm = clip_gradients(params)
