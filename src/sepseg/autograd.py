@@ -18,6 +18,13 @@ which ignores a ``None`` node. So a training graph keeps alive only the
 arrays some backward reads: an op's output that no backward reads is freed
 as soon as the forward drops its tensor.
 
+A node adopts the first gradient it is handed, with no copy or cast, which
+rests on one ownership rule: a closure never writes into a gradient it
+receives or hands on. Two nodes may share one array (``add_relu`` hands
+one to both parents, ``concat`` hands out views), but neither changes it.
+Only the optimizer writes gradients in place, those of the leaves, and
+each leaf's comes fresh from its own layer's closure.
+
 While recording is on (the default), every differentiable op with a parent
 that requires a gradient records a node; inside ``no_grad()`` ops record
 nothing, so their closures and captured arrays are dropped at once.
@@ -48,14 +55,13 @@ class ShapeError(ValueError):
 
 class Node:
     """Gradient bookkeeping of one tensor, with no activation data: the
-    gradient accumulated so far (in ``dtype``), the nodes of the parents
-    that need a gradient, and the backward closure, ``None`` for a leaf."""
+    gradient accumulated so far, the nodes of the parents that need a
+    gradient, and the backward closure, ``None`` for a leaf."""
 
-    __slots__ = ("grad", "dtype", "_parents", "_backward")
+    __slots__ = ("grad", "_parents", "_backward")
 
-    def __init__(self, dtype, parents, backward_fn):
+    def __init__(self, parents, backward_fn):
         self.grad = None
-        self.dtype = dtype
         self._parents = parents
         self._backward = backward_fn
 
@@ -74,7 +80,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
         self.data = arr if arr.dtype in FLOAT_DTYPES else arr.astype(np.float32)
-        self.node = Node(self.data.dtype, (), None) if requires_grad else None
+        self.node = Node((), None) if requires_grad else None
 
     @property
     def requires_grad(self):
@@ -148,27 +154,16 @@ def _make(data, parents, backward_fn):
     if _recording:
         nodes = tuple(p.node for p in parents if p.node is not None)
         if nodes:
-            out.node = Node(out.data.dtype, nodes, backward_fn)
+            out.node = Node(nodes, backward_fn)
     return out
 
 
 def _accum(node, g):
+    """Adopt ``g``, of the node's shape and dtype, as the gradient of
+    ``node``, or add it out of place to the gradient it has."""
     if node is None:
         return
-    if node.grad is None:
-        node.grad = np.array(g, dtype=node.dtype, copy=True)
-    else:
-        node.grad = node.grad + g
-
-
-def _unbroadcast(g, shape):
-    """Sum ``g`` over each axis where ``shape`` has size 1 and ``g`` does
-    not, one axis at a time in axis order: the per-channel reductions of
-    train-mode batch norm, in the order that keeps their bits."""
-    for i, s in enumerate(shape):
-        if s == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g
+    node.grad = g if node.grad is None else node.grad + g
 
 
 # -- elementwise ops --------------------------------------------------------

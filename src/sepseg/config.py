@@ -75,9 +75,13 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parser(section, name):
-    kind = typing.get_type_hints(SECTIONS[section])[name]
+def _parser(kind):
     return _bool if kind is bool else kind
+
+
+# key -> the parser of its field's type, resolved once at import
+_HINTS = {section: typing.get_type_hints(cls) for section, cls in SECTIONS.items()}
+_PARSERS = {key: _parser(_HINTS[section][name]) for key, (section, name) in KEYS.items()}
 
 
 def _rejects(cls, **values):
@@ -113,7 +117,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         section, name = KEYS[key]
         try:
-            settings[section][name] = (lineno, key, _parser(section, name)(value))
+            settings[section][name] = (lineno, key, _PARSERS[key](value))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return RunConfig(**{s: _build(cls, settings[s]) for s, cls in SECTIONS.items()})

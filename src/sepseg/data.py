@@ -262,7 +262,8 @@ def load_into_model(model, loaded):
     """Copy checkpoint entries into a built model, validating name order
     and shapes; the first mismatch is reported by name. The parameters
     come first; the batch-norm statistics may follow, and a file without
-    them leaves the model's own statistics in place."""
+    them leaves the model's own statistics in place. A negative running
+    variance is rejected, since batch norm takes its square root."""
     params = model.named_parameters()
     targets = list(params.items()) + list(model.named_statistics().items())
     for (pname, target), (cname, arr) in zip(targets, loaded.items()):
@@ -274,6 +275,8 @@ def load_into_model(model, loaded):
                 f"shape mismatch for {pname!r}: model {tuple(target.shape)} "
                 f"vs checkpoint {tuple(arr.shape)}"
             )
+        if cname.endswith(".running_var") and np.any(arr < 0):
+            raise CheckpointError(f"entry {cname!r} holds a negative running variance")
         if isinstance(target, Tensor):
             target.data = arr.astype(target.data.dtype)
         else:

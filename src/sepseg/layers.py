@@ -2,7 +2,7 @@
 
 Standard and depthwise separable convolutions, batch normalization,
 2x2 max pooling, bilinear 2x upsampling, parameter-free pixel shuffle,
-dropout and the activations. All layers are differentiable through the
+dropout and the channel softmax. All layers are differentiable through the
 autograd graph; parameters live in small dataclass containers.
 
 Every layer returns its input's dtype: constants and weights enter the
@@ -41,7 +41,8 @@ Infer-mode batch norm is one per-channel multiply-add with the running
 statistics folded into a scale and a shift.
 Train-mode batch norm is one node with the analytic backward, which keeps
 the order of the 14-node primitive graph it replaced and so its bits (see
-``_batch_norm_train``). Dropout runs in train mode only, as one node that
+``_batch_norm_train``). Its reductions and the conv bias gradients are one
+``_channel_sum``. Dropout runs in train mode only, as one node that
 multiplies by the scaled keep mask.
 
 A backward closure keeps only the arrays it reads, never a tensor (see
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autograd import Rng, ShapeError, Tensor, _accum, _make, _unbroadcast, relu
+from .autograd import Rng, ShapeError, Tensor, _accum, _make
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
 BN_EPS = 1e-5  # added to the variance before its square root
@@ -78,7 +79,6 @@ __all__ = [
     "bilinear_upsample_2x",
     "pixel_shuffle",
     "dropout",
-    "relu",
     "softmax_channels",
 ]
 
@@ -147,6 +147,11 @@ def init_batch_norm(c, dtype):
 # -- convolutions ---------------------------------------------------------------
 
 
+def _channel_sum(g):
+    """Per-channel sum of ``g`` (N, C, H, W): the batch, then rows, then columns."""
+    return g.sum(axis=0).sum(axis=1).sum(axis=1)
+
+
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Cross-correlation with bias, stride 1, same padding: a k x k kernel
     (k odd) keeps the spatial size, padding each side with (k - 1)/2 zeros.
@@ -171,8 +176,7 @@ def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Pointwise convolution as one node: W @ x per image, no im2col copy.
 
     Forward and gradients equal the im2col path bit for bit; the bias
-    gradient sums over batch, rows and columns in that order, as the
-    broadcast add's backward does.
+    gradient is a ``_channel_sum``.
     """
     n, c_in, h, w = x.shape
     c_out = weight.shape[0]
@@ -188,7 +192,7 @@ def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
         x2 = xd.transpose(1, 0, 2, 3).reshape(c_in, n * h * w)
         _accum(wn, (g2 @ x2.T).reshape(w_shape))
-        _accum(bn, g.sum(axis=0).sum(axis=1).sum(axis=1))
+        _accum(bn, _channel_sum(g))
         if xn is not None:
             _accum(xn, np.matmul(w2.T, g.reshape(n, c_out, h * w)).reshape(xd.shape))
 
@@ -292,9 +296,8 @@ def _conv2d_same(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     degrees and transposed to (C_in, C_out, k, k): at stride 1 with same
     padding that correlation is the conv's adjoint, so no col2im scatter is
     needed. Both reorder im2col's sums over the batch and the kernel taps
-    and agree with them to float rounding. The bias gradient sums over
-    batch, rows and columns in that order, as the broadcast add's backward
-    does.
+    and agree with them to float rounding. The bias gradient is a
+    ``_channel_sum``.
     """
     _, c, h, w = x.shape
     c_out, _, k, _ = weight.shape
@@ -311,7 +314,7 @@ def _conv2d_same(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             gb[:, :m, :w] = g[b, :, rows]
             gw += gb[:, :m].reshape(c_out, m * wp) @ cols.T
         _accum(wn, gw.reshape(wd.shape))
-        _accum(bn, g.sum(axis=0).sum(axis=1).sum(axis=1))
+        _accum(bn, _channel_sum(g))
         if xn is not None:
             flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             _accum(xn, _correlate_same(g, flipped, np.zeros(c, dtype=g.dtype)))
@@ -441,8 +444,8 @@ def _batch_norm_train(x: Tensor, p: BatchNormParams) -> Tensor:
 
     Training amplifies last-ulp differences, so the backward runs the chain
     rule in the order and expression forms of the primitive graph it
-    replaced, and keeps its bits: every reduction goes through
-    ``_unbroadcast``, and x sums its x-hat term, then its variance term,
+    replaced, and keeps its bits: every reduction is a ``_channel_sum``,
+    and x sums its x-hat term, then its variance term,
     then the mean's term. The node keeps the centred input ``d`` and the
     per-channel ``sd``; the backward recomputes ``xhat = d / sd`` with the
     forward's expression rather than keeping it.
@@ -467,18 +470,18 @@ def _batch_norm_train(x: Tensor, p: BatchNormParams) -> Tensor:
     xn, gn, bn = x.node, gamma.node, beta.node
 
     def bwd(g):
-        _accum(gn, _unbroadcast(g * (d / sd), stat).reshape(c))
-        _accum(bn, _unbroadcast(g, stat).reshape(c))
+        _accum(gn, _channel_sum(g * (d / sd)))
+        _accum(bn, _channel_sum(g))
         if xn is None:
             return
         g_xhat = g * gamma_s
         # div's -g*a/(b*b) and power's g*p*x**(p-1), as the primitive ops
         # wrote them; x**1 is x, so the square's power term multiplies by d
-        g_sd = _unbroadcast(-g_xhat * d / (sd * sd), stat)
+        g_sd = _channel_sum(-g_xhat * d / (sd * sd)).reshape(stat)
         g_var = g_sd * 0.5 * ve ** (0.5 - 1)
         g_d_xhat = g_xhat / sd
         g_d_var = g_var * inv_count * 2 * d
-        g_mu = _unbroadcast(-g_d_xhat, stat) + _unbroadcast(-g_d_var, stat)
+        g_mu = (_channel_sum(-g_d_xhat) + _channel_sum(-g_d_var)).reshape(stat)
         g_x = g_d_xhat + g_d_var
         g_x += g_mu * inv_count
         _accum(xn, g_x)

@@ -273,8 +273,10 @@ def evaluate(model, samples, lesion_class: int):
     the class (NaN when none does). The ``_global`` scores pool every pixel
     of the volume's slices that ``samples`` holds; for a dataset from
     ``build_slice_dataset`` that is only the slices its filter keeps, not
-    the whole volume. A mean skips NaN rows.
+    the whole volume. A mean skips NaN rows. A mask label outside
+    ``[0, num_classes)`` raises DataError, as in ``train``.
     """
+    _check_labels(samples, model.spec.num_classes)
     by_volume = OrderedDict()
     for s in samples:
         by_volume.setdefault(s.volume_id, []).append(s)

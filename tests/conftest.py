@@ -37,24 +37,52 @@ def nifti_factory(tmp_path):
     return factory
 
 
+def patch_autograd(monkeypatch, name, replace):
+    """Swap ``autograd.<name>`` for ``replace(original)`` in every loaded
+    ``sepseg`` module that bound it, for the rest of the test."""
+    import sepseg.autograd as ag
+
+    orig = getattr(ag, name)
+    new = replace(orig)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("sepseg") and getattr(module, name, None) is orig:
+            monkeypatch.setattr(module, name, new)
+
+
 @pytest.fixture
 def made_nodes(monkeypatch):
     """Every Tensor that ``autograd._make`` returns while the test runs, in
     creation order, as ``(tensor, linked)``; ``linked`` is whether the node
     joined the graph when it was made (``backward`` unlinks it later)."""
-    import sepseg.autograd as ag
+    made = []
 
-    made, orig = [], ag._make
+    def recording(make):
+        def recording_make(data, parents, backward_fn):
+            out = make(data, parents, backward_fn)
+            made.append((out, bool(out._parents)))
+            return out
 
-    def recording_make(data, parents, backward_fn):
-        out = orig(data, parents, backward_fn)
-        made.append((out, bool(out._parents)))
-        return out
+        return recording_make
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sepseg") and getattr(module, "_make", None) is orig:
-            monkeypatch.setattr(module, "_make", recording_make)
+    patch_autograd(monkeypatch, "_make", recording)
     return made
+
+
+@pytest.fixture
+def handed_dtypes(monkeypatch):
+    """The dtypes of the gradients handed to ``autograd._accum`` while the
+    test runs."""
+    seen = set()
+
+    def recording(accum):
+        def recording_accum(node, g):
+            seen.add(g.dtype)
+            accum(node, g)
+
+        return recording_accum
+
+    patch_autograd(monkeypatch, "_accum", recording)
+    return seen
 
 
 @pytest.fixture
@@ -71,3 +99,35 @@ def block_outputs(monkeypatch):
 
     monkeypatch.setattr(model, "resnet_block_forward", recording)
     return outs
+
+
+@pytest.fixture
+def readonly_grads(monkeypatch):
+    """While the test runs, every interior node's closure is handed a
+    read-only view of its gradient, and every array a closure hands on to
+    an interior node becomes read-only for that closure too. A closure that
+    writes into a gradient it receives or hands on then raises
+    ``ValueError``; leaf gradients, which the optimizer scales in place,
+    stay writable."""
+
+    def guarded(make):
+        def guarded_make(data, parents, backward_fn):
+            def readonly_backward(g):
+                view = g.view()
+                view.flags.writeable = False
+                backward_fn(view)
+
+            return make(data, parents, readonly_backward)
+
+        return guarded_make
+
+    def freezing(accum):
+        def freezing_accum(node, g):
+            if node is not None and node._backward is not None:
+                g.flags.writeable = False
+            accum(node, g)
+
+        return freezing_accum
+
+    patch_autograd(monkeypatch, "_make", guarded)
+    patch_autograd(monkeypatch, "_accum", freezing)

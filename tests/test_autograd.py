@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from reference_ops import add, mul, tensor_sum
+from sepseg import autograd
 from sepseg.autograd import (
     Rng,
+    _accum,
     _col2im_forward,
     ShapeError,
     Tensor,
@@ -196,6 +198,54 @@ def test_backward_fanout_sums_branches():
     y = add(mul(x, 3.0), mul(x, x))  # x used twice: grad = 3 + 2x = 7
     backward(tensor_sum(y))
     np.testing.assert_allclose(x.grad, [7.0])
+
+
+def test_accum_adopts_the_first_array_and_adds_later_ones_out_of_place():
+    node = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True).node
+    first = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+    _accum(node, first)
+    assert node.grad is first
+    _accum(node, np.ones(3, dtype=np.float32))
+    np.testing.assert_array_equal(first, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(node.grad, [2.0, 3.0, 4.0])
+    assert node.grad.dtype == np.float32
+
+
+def _op(fn):
+    """A one-parent op whose closure is ``fn(g, parent_node)``, made through
+    the module's ``_make`` so that fixtures patching it see the node."""
+    def op(x):
+        return autograd._make(x.data.copy(), (x,), lambda g: fn(g, x.node))
+
+    return op
+
+
+def test_readonly_grads_catch_a_closure_that_writes_what_it_receives(readonly_grads):
+    def doubling(g, xn):
+        g *= 2
+        autograd._accum(xn, g)
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ValueError, match="read-only"):
+        backward(tensor_sum(_op(doubling)(x)))
+
+
+def test_readonly_grads_catch_a_closure_that_writes_what_it_handed_on(readonly_grads):
+    def late_write(g, xn):
+        h = g * 2
+        autograd._accum(xn, h)
+        h += 1
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ValueError, match="read-only"):
+        backward(tensor_sum(_op(late_write)(relu(x))))
+
+
+def test_readonly_grads_pass_a_closure_that_keeps_the_rule(readonly_grads):
+    x = Tensor(np.ones(3), requires_grad=True)
+    backward(tensor_sum(_op(lambda g, xn: autograd._accum(xn, g * 2))(relu(x))))
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+    assert x.grad.flags.writeable
 
 
 def test_backward_rejects_non_scalar():

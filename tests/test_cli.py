@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,22 @@ class TestInferEval:
         assert err.startswith("checkpoint mismatch:") and "enc2.res.conv1.pw_weight" in err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_running_variance_exit_4(self, tmp_path, config_path, capsys):
+        model = build_model(ModelSpec(variant="proposed", base_depth=8), Rng(0, 0))
+        stats = model.named_statistics()
+        stats["dec2.res.bn.running_var"][0] = -1.0
+        ckpt = tmp_path / "negvar.ckpt"
+        save_checkpoint({**model.named_parameters(), **stats}, ckpt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the sqrt of a negative
+            code = main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
+                         "--input", "phantoms:2x32", "--out", str(tmp_path / "x")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint mismatch:") and "dec2.res.bn.running_var" in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command,lesion_class", [("infer", 5), ("eval", -1), ("eval", 2)])
     def test_lesion_class_out_of_range_exit_1(self, tmp_path, config_path, capsys, command,
                                               lesion_class):
@@ -391,6 +408,24 @@ class TestInferEval:
                      "--data", str(data)])
         assert code == 2
         assert "slice 1 holds a non-finite voxel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_eval_mask_label_out_of_range_exit_2(self, tmp_path, config_path, untrained_ckpt,
+                                                 nifti_factory, capsys, label):
+        # a LiTS-style mask (liver 1, lesion 2) scored by a 2-class model
+        (tmp_path / "data").mkdir()
+        mask = np.zeros((5, 32, 32), dtype=np.int16)
+        mask[2, 8:16, 8:16] = 1
+        mask[2, 10:12, 10:12] = label
+        nifti_factory("data/volume-0.nii", np.zeros((5, 32, 32), dtype=np.int16))
+        nifti_factory("data/segmentation-0.nii", mask)
+        code = main(["eval", "--config", config_path, "--checkpoint", str(untrained_ckpt),
+                     "--data", str(tmp_path / "data")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error:") and "Traceback" not in captured.err
+        assert f"volume '0' slice 2: mask label {label} outside [0, 2)" in captured.err
+        assert captured.out == ""
 
     def test_eval_prints_score_columns(self, tmp_path, config_path, trained, capsys):
         csv = tmp_path / "scores.csv"

@@ -376,6 +376,17 @@ class TestCheckpoint:
         for name, arr in fresh.named_statistics().items():
             np.testing.assert_array_equal(arr, stats[name])
 
+    def test_negative_running_variance_rejected_by_name(self, tmp_path):
+        model = build_model(ModelSpec(base_depth=8), Rng(0, 0))
+        stats = model.named_statistics()
+        stats["enc3.res.bn.running_var"][1] = -1.0
+        path = tmp_path / "m.ckpt"
+        save_checkpoint({**model.named_parameters(), **stats}, path)
+        fresh = build_model(ModelSpec(base_depth=8), Rng(1, 0))
+        with pytest.raises(CheckpointError,
+                           match="entry 'enc3.res.bn.running_var' holds a negative running"):
+            load_into_model(fresh, load_checkpoint(path))
+
     def test_shape_mismatch_names_first_entry(self, tmp_path):
         small = build_model(ModelSpec(base_depth=8), Rng(0, 0))
         big = build_model(ModelSpec(base_depth=16), Rng(0, 0))

@@ -1,9 +1,10 @@
 """Every module-level import in ``src/sepseg`` is used by its module,
-every graph op in ``autograd`` has a caller in another module, every
-defaulted parameter is passed by some call in ``src/sepseg`` and left out
-by another, no required parameter is passed the same literal by every
-call, the count of settable values stays within its bound, and the
-package loads nothing beyond numpy and the standard library.
+every name a module's ``__all__`` lists is defined there, every graph op
+in ``autograd`` has a caller in another module, every defaulted parameter
+is passed by some call in ``src/sepseg`` and left out by another, no
+required parameter is passed the same literal by every call, the count
+of settable values stays within its bound, and the package loads nothing
+beyond numpy and the standard library.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name counts as used when the module reads it as a name or
@@ -35,12 +36,30 @@ def unused_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(exported_names(tree))
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in used)
+
+
+def exported_names(tree):
+    """The names a module lists in ``__all__``, else none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in used)
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def foreign_exports(tree):
+    """Names in ``__all__`` that the module does not define itself (by a
+    ``def``, a ``class`` or an assignment): re-exports of an import."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sorted(set(exported_names(tree)) - defined)
 
 
 def test_detects_an_unused_import():
@@ -51,6 +70,19 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_detects_a_foreign_export():
+    tree = ast.parse("from a import b\ndef f():\n    pass\nclass C:\n    pass\n"
+                     "D = 1\nE: int = 2\n__all__ = ['b', 'f', 'C', 'D', 'E']\n")
+    assert foreign_exports(tree) == ["b"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_every_export_is_defined_by_its_module(path):
+    # the package __init__ is exempt: re-exporting the modules' names is its job
+    assert foreign_exports(ast.parse(path.read_text())) == []
 
 
 # graph ops that no other module imports, each kept for a stated reason

@@ -16,6 +16,7 @@ from sepseg.autograd import (
     im2col,
     matmul,
     no_grad,
+    relu,
 )
 from sepseg.gradcheck import project
 from sepseg.layers import (
@@ -37,7 +38,6 @@ from sepseg.layers import (
     init_separable_conv2d,
     max_pool_2x2,
     pixel_shuffle,
-    relu,
     separable_conv2d,
     softmax_channels,
 )

@@ -332,12 +332,15 @@ def _train_step(model, x, made_nodes):
 @pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
 class TestDtypeContract:
     """Every layer returns its input's dtype, so a model computes end to end
-    in the dtype of its input and parameters."""
+    in the dtype of its input and parameters. ``_accum`` adopts gradients
+    without a cast, so this contract is also what keeps each gradient in
+    its node's dtype."""
 
-    def test_float32_train_step_stays_float32(self, variant, made_nodes):
+    def test_float32_train_step_stays_float32(self, variant, made_nodes, handed_dtypes):
         model = small_model(variant)
         probs, dtypes = _train_step(model, _batch(2, 32), made_nodes)
         assert made_nodes and dtypes == {np.dtype(np.float32)}
+        assert handed_dtypes == {np.dtype(np.float32)}
         assert probs.dtype == np.float32
         for name, p in model.named_parameters().items():
             assert p.grad.dtype == np.float32, name
@@ -345,13 +348,32 @@ class TestDtypeContract:
     def test_float32_infer_probs(self, variant):
         assert forward(small_model(variant), _batch(2, 32), "infer").dtype == np.float32
 
-    def test_float64_stays_float64(self, variant, made_nodes):
+    def test_float64_stays_float64(self, variant, made_nodes, handed_dtypes):
         model = build_model(ModelSpec(variant=variant, base_depth=8), Rng(0, 0), np.float64)
         x = Tensor(_batch(2, 32).data.astype(np.float64))
         probs, dtypes = _train_step(model, x, made_nodes)
         assert dtypes == {np.dtype(np.float64)} and probs.dtype == np.float64
+        assert handed_dtypes == {np.dtype(np.float64)}
         assert all(p.grad.dtype == np.float64 for p in model.named_parameters().values())
         assert forward(model, x, "infer").dtype == np.float64
+
+
+@pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
+def test_train_step_writes_no_gradient_it_receives_or_hands_on(variant, readonly_grads):
+    model = small_model(variant)
+    _train_step(model, _batch(2, 32), [])
+    assert all(p.grad is not None for p in model.named_parameters().values())
+
+
+@pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
+def test_parameter_gradients_share_no_memory(variant):
+    # the in-place clip then scales each gradient once
+    model = small_model(variant)
+    _train_step(model, _batch(2, 32), [])
+    grads = [(name, p.grad) for name, p in model.named_parameters().items()]
+    for i, (a_name, a) in enumerate(grads):
+        for b_name, b in grads[i + 1:]:
+            assert not np.shares_memory(a, b), (a_name, b_name)
 
 
 def _node_kinds(made_nodes):
