@@ -8,9 +8,9 @@ central differences, with the other arrays held fixed. A non-scalar output
 is reduced to a scalar by a fixed random projection (see ``project``),
 which the driver draws from the case's ``rng`` after the case's own draws.
 
-Draw order is part of a case: input first, then parameters, then fixed
-statistics, then the projection. Reordering the draws changes every number
-the suite reports. Used by the ``gradcheck`` CLI command and the acceptance
+Draw order is part of a case: the case's own draws, in the order it makes
+them, then the projection. Reordering the draws changes every number the
+suite reports. Used by the ``gradcheck`` CLI command and the acceptance
 tests.
 """
 
@@ -46,24 +46,14 @@ def _normal(call, **shapes):
     return lambda rng: (call, {name: rng.normal(size=s) for name, s in shapes.items()})
 
 
-def _bn_arrays(rng):
-    return {
+def _case_batch_norm(rng):
+    # train mode updates the running statistics: fresh ones per evaluation
+    call = lambda x, g, b: batch_norm(x, BatchNormParams(g, b, np.zeros(3), np.ones(3)), "train")
+    return call, {
         "input": rng.normal(size=(2, 3, 4, 4)),
         "gamma": rng.normal(1.0, 0.2, 3),
         "beta": rng.normal(0.0, 0.2, 3),
     }
-
-
-def _case_batch_norm(rng):
-    # train mode updates the running statistics: fresh ones per evaluation
-    call = lambda x, g, b: batch_norm(x, BatchNormParams(g, b, np.zeros(3), np.ones(3)), "train")
-    return call, _bn_arrays(rng)
-
-
-def _case_batch_norm_infer(rng):
-    arrays = _bn_arrays(rng)
-    mean, var = rng.normal(0.0, 0.5, 3), rng.uniform(0.5, 2.0, 3)
-    return lambda x, g, b: batch_norm(x, BatchNormParams(g, b, mean, var), "infer"), arrays
 
 
 def _case_relu(rng):
@@ -111,7 +101,6 @@ LAYER_CASES = {
         pw_weight=(4, 3, 1, 1), pw_bias=(4,),
     ),
     "batch_norm": _case_batch_norm,
-    "batch_norm_infer": _case_batch_norm_infer,
     "max_pool_2x2": _normal(max_pool_2x2, input=(1, 2, 4, 4)),
     "bilinear_upsample_2x": _normal(bilinear_upsample_2x, input=(1, 2, 3, 3)),
     "pixel_shuffle": _normal(pixel_shuffle, input=(1, 4, 2, 2)),

@@ -2,8 +2,9 @@
 
 Standard and depthwise separable convolutions, batch normalization,
 2x2 max pooling, bilinear 2x upsampling, parameter-free pixel shuffle,
-dropout and the channel softmax. All layers are differentiable through the
-autograd graph; parameters live in small dataclass containers.
+dropout and the channel softmax. Every layer but infer-mode batch norm is
+differentiable through the autograd graph; parameters live in small
+dataclass containers.
 
 Every layer returns its input's dtype: constants and weights enter the
 arithmetic as scalars or arrays of the data's dtype, so a float32 model
@@ -38,7 +39,8 @@ routing, a ReLU mask, the block buffers of the conv gradients) is
 computed inside the backward closure from the inputs the closure holds, so
 an infer-mode forward, which records no graph, never pays for it.
 Infer-mode batch norm is one per-channel multiply-add with the running
-statistics folded into a scale and a shift.
+statistics folded into a scale and a shift, and has no backward: the
+network trains with batch statistics only.
 Train-mode batch norm is one node with the analytic backward, which keeps
 the order of the 14-node primitive graph it replaced and so its bits (see
 ``_batch_norm_train``). Its reductions and the conv bias gradients are one
@@ -49,8 +51,7 @@ A backward closure keeps only the arrays it reads, never a tensor (see
 ``autograd``): a conv its input, max pooling its input and output,
 softmax its output, train-mode batch norm the centred input and the
 per-channel standard deviation, dropout its boolean keep mask. Bilinear
-upsampling and pixel shuffle keep no activation, and infer-mode batch
-norm only its per-channel scale besides the input of the gamma gradient.
+upsampling and pixel shuffle keep no activation.
 """
 
 from __future__ import annotations
@@ -490,7 +491,9 @@ def _batch_norm_train(x: Tensor, p: BatchNormParams) -> Tensor:
 
 
 def _batch_norm_infer(x: Tensor, p: BatchNormParams) -> Tensor:
-    """Fixed-statistics batch norm as one per-channel multiply-add.
+    """Fixed-statistics batch norm as one per-channel multiply-add, forward
+    only: no command differentiates through it, so a backward that reaches
+    its node raises ``RuntimeError``.
 
     ``scale = gamma / sqrt(running_var + eps)`` and
     ``shift = beta - running_mean * scale`` are folded once per call, so the
@@ -498,21 +501,15 @@ def _batch_norm_infer(x: Tensor, p: BatchNormParams) -> Tensor:
     from normalizing first and then scaling, by a few ulp of the output.
     """
     c = x.shape[1]
-    gamma, beta, mean = p.gamma, p.beta, p.running_mean
-    std = np.sqrt(p.running_var + BN_EPS)
-    scale = gamma.data / std
-    shift = beta.data - mean * scale
+    scale = p.gamma.data / np.sqrt(p.running_var + BN_EPS)
+    shift = p.beta.data - p.running_mean * scale
     out_data = x.data * scale.reshape(1, c, 1, 1)
     out_data += shift.reshape(1, c, 1, 1)
-    xd, xn, gn, bn = x.data, x.node, gamma.node, beta.node
+    return _make(out_data, (x, p.gamma, p.beta), _batch_norm_infer_backward)
 
-    def bwd(g):
-        _accum(xn, g * scale.reshape(1, c, 1, 1))
-        centred = xd - mean.reshape(1, c, 1, 1)
-        _accum(gn, (g * centred).sum(axis=(0, 2, 3)) / std)
-        _accum(bn, g.sum(axis=(0, 2, 3)))
 
-    return _make(out_data, (x, gamma, beta), bwd)
+def _batch_norm_infer_backward(g):
+    raise RuntimeError("infer-mode batch norm has no gradient; differentiate in train mode")
 
 
 def max_pool_2x2(x: Tensor) -> Tensor:

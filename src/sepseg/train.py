@@ -65,16 +65,14 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState):
-    """One Adam update of named parameters and their moments, in place;
-    gradients are consumed from each tensor's ``grad`` and reset afterwards."""
+    """One Adam update, in place, of named parameters and their moments from
+    each one's ``grad``, which every training backward sets; resets each ``grad``."""
     state.t += 1
     t = state.t
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name!r} at step {t}")
         if name not in state.m:
@@ -90,17 +88,15 @@ def adam_step(params, state: AdamState):
 
 
 def clip_gradients(params):
-    """Global-norm gradient clipping at ``GRAD_CLIP``; returns the pre-clip norm."""
+    """Global-norm clipping of every ``grad`` at ``GRAD_CLIP``; returns the pre-clip norm."""
     sq = 0.0
     for p in params.values():
-        if p.grad is not None:
-            sq += float(np.sum(p.grad.astype(np.float64) ** 2))
+        sq += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = float(np.sqrt(sq))
     if norm > GRAD_CLIP:
         scale = GRAD_CLIP / norm
         for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+            p.grad *= scale
     return norm
 
 

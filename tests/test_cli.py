@@ -1,11 +1,15 @@
 import dataclasses
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sepseg
 from sepseg.autograd import Rng, _accum, _make
 from sepseg.cli import main
 from sepseg.config import KEYS, SECTIONS, ConfigError, RunConfig, parse_config, render_config
@@ -174,6 +178,16 @@ class TestTrainCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "utf-8" in err
+
+    def test_utf8_config_reads_in_an_ascii_locale(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# 64\u00d764 phantoms\nseed = 7\n".encode())
+        code = ("from sepseg.config import load_config; "
+                f"print(load_config({str(cfg)!r}).train.seed)")
+        env = {**os.environ, "PYTHONPATH": str(Path(sepseg.__file__).parents[1]),
+               "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "7\n", proc.stderr
 
     def test_three_labels_score_the_last_class(self, tmp_path, nifti_factory):
         # LiTS's labels: liver (1) on all 14 slices, lesion (2) on slices 4-8

@@ -374,6 +374,9 @@ def test_parameter_gradients_share_no_memory(variant):
     for i, (a_name, a) in enumerate(grads):
         for b_name, b in grads[i + 1:]:
             assert not np.shares_memory(a, b), (a_name, b_name)
+    # adam_step and clip_gradients rest on every parameter having a gradient
+    for name, p in model.named_parameters().items():
+        assert isinstance(p.grad, np.ndarray) and p.grad.shape == p.shape, name
 
 
 def _node_kinds(made_nodes):
@@ -381,21 +384,41 @@ def _node_kinds(made_nodes):
     return {t._backward.__qualname__.split(".<locals>")[0] for t, linked in made_nodes if linked}
 
 
-@pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
-def test_gradcheck_covers_every_train_step_node(variant, made_nodes):
-    from sepseg.gradcheck import BLOCK_CASES, LAYER_CASES
+def _train_step_kinds(variant, made_nodes):
+    """The op kinds of one train forward and loss of ``variant``."""
     from sepseg.metrics import weighted_cross_entropy
 
-    x = _batch(2, 32)
     labels = np.random.default_rng(1).integers(0, 2, (2, 32, 32))
-    probs = forward(small_model(variant), x, "train", rng=Rng(0, 1))
+    probs = forward(small_model(variant), _batch(2, 32), "train", rng=Rng(0, 1))
     weighted_cross_entropy(probs, labels, np.array([1.0, 1.0]))
-    step = _node_kinds(made_nodes)
+    kinds = _node_kinds(made_nodes)
     made_nodes.clear()
+    return kinds
+
+
+def _gradcheck_kinds(made_nodes):
+    """The op kinds that the calls of every gradcheck case make."""
+    from sepseg.gradcheck import BLOCK_CASES, LAYER_CASES
+
     for case in {**LAYER_CASES, **BLOCK_CASES}.values():
         call, arrays = case(Rng(0))
         call(*(Tensor(a, requires_grad=True) for a in arrays.values()))
-    assert step - _node_kinds(made_nodes) == set()
+    kinds = _node_kinds(made_nodes)
+    made_nodes.clear()
+    return kinds
+
+
+@pytest.mark.parametrize("variant", ["proposed", "baseline-unet"])
+def test_gradcheck_covers_every_train_step_node(variant, made_nodes):
+    step = _train_step_kinds(variant, made_nodes)
+    assert step - _gradcheck_kinds(made_nodes) == set()
+
+
+def test_every_gradcheck_node_is_made_by_a_train_step(made_nodes):
+    # pixel_shuffle and _depthwise_conv2d are made only by proposed,
+    # _conv2d_same only by baseline-unet
+    steps = _train_step_kinds("proposed", made_nodes) | _train_step_kinds("baseline-unet", made_nodes)
+    assert _gradcheck_kinds(made_nodes) - steps == set()
 
 
 class TestResNetBlock:
