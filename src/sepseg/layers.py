@@ -14,8 +14,9 @@ A separable convolution is a depthwise k x k pass, computed as
 cache-blocked shifted multiply-adds, and a 1x1 pointwise pass, computed as
 one matmul per image. The depthwise pass and the standard k x k
 convolution (k > 1) both work on one flat row-padded layout (see
-``_padded_flat``), in which every kernel tap is one contiguous span and
-every multiply-add one 2-D pass. A standard k x k convolution is
+``_padded_flat``), in which every kernel tap is one contiguous span; the
+depthwise pass lays the planes of a run of images end to end in each row,
+so that one multiply-add covers the run. A standard k x k convolution is
 row-blocked im2col on that layout: per image, blocks of output rows whose
 k*k tap spans are copied into a column buffer of about ``_CONV_BLOCK``
 elements, one GEMM each, with the weight matrix and K order of plain
@@ -28,11 +29,12 @@ formulation they replaced: the 1x1 path and the depthwise input gradient
 are bit-identical to it, and so is the depthwise forward at k = 1 and 3,
 up to the sign of a zero. The depthwise weight gradient and the k x k
 conv's input and weight gradients are deliberate exceptions that agree to
-float rounding (see ``_depthwise_conv2d`` and ``_conv2d_same``). Bilinear 2x
-upsampling is closed form: each output is a fixed 0.25/0.75 pair of
-neighbours, computed on even and odd strided slices, and its adjoint
-gathers the same pairs without a scatter, in the order a scatter-add
-would sum them (see ``_upsample2x_axis_adjoint``).
+float rounding (see ``_depthwise_conv2d`` and ``_conv2d_same``). In
+infer mode an image's outputs come from that image alone through the same
+operations whatever the batch, so a batch gives each image the bits of a
+one-image call. Bilinear 2x upsampling is closed form, as passes over the
+whole tensor as one flat span; its adjoint gathers without a scatter, in
+the order a scatter-add would sum (see ``_upsample2x_axis_adjoint``).
 
 A forward does only forward work. What only a backward reads (the max-pool
 routing, a ReLU mask, the block buffers of the conv gradients) is
@@ -56,10 +58,11 @@ upsampling and pixel shuffle keep no activation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .autograd import Rng, ShapeError, Tensor, _accum, _make
 
@@ -211,26 +214,26 @@ def _block_rows(c, k, h, wp):
     return max(1, min(h, _CONV_BLOCK // (c * k * k * wp)))
 
 
-def _padded_flat(c, h, w, k, dtype):
-    """The flat row-padded layout of c planes of h x w for a k x k kernel
-    (k odd) with same padding: a zeroed buffer and its ``(c, h, w)``
-    interior view, which the caller fills.
+def _padded_flat(c, n, h, w, k, dtype):
+    """The flat row-padded layout of c rows of n planes of h x w for a k x k
+    kernel (k odd) with same padding: a zeroed buffer and its
+    ``(c, n, h, w)`` interior view, which the caller fills.
 
-    The buffer has shape ``(c, hp*wp + k - 1)`` with ``hp, wp = h + k - 1,
-    w + k - 1``; each row is one plane bordered by ``pad = (k - 1)/2``
-    zeros on every side and flattened, plus k - 1 zeros that keep the last
-    tap's span inside the row. The m output rows from row r0 then read tap
-    (i, j) as the contiguous span ``(r0 + i)*wp + j`` of length ``m*wp``,
-    whose wide position y*wp + x holds plane position
-    (r0 + y + i - pad, x + j - pad) for x < w. The last k - 1 positions of
-    each wide row wrap around into the next padded row, and the caller
-    drops them. At the centre tap (pad, pad) they read only border zeros,
-    so that span is the planes themselves in wide rows whose k - 1 wrapped
-    columns are zero.
+    The buffer has shape ``(c, n*hp*wp + k - 1)`` with ``hp, wp = h + k - 1,
+    w + k - 1``; a row holds n planes end to end, each bordered by
+    ``pad = (k - 1)/2`` zeros on every side and flattened, plus k - 1 zeros
+    that keep the last tap's span inside the row. The m output rows from
+    row r0 of plane q read tap (i, j) as the contiguous span
+    ``q*hp*wp + (r0 + i)*wp + j`` of length ``m*wp``, whose wide position
+    y*wp + x holds plane position (r0 + y + i - pad, x + j - pad) for x < w.
+    The caller drops the others: the last k - 1 of each wide row, which wrap
+    into the next padded row, and those between planes. At the centre tap
+    (pad, pad) they read only border zeros, so its span is the planes
+    themselves in wide rows whose k - 1 wrapped columns are zero.
     """
     hp, wp, pad = h + k - 1, w + k - 1, (k - 1) // 2
-    buf = np.zeros((c, hp * wp + k - 1), dtype=dtype)
-    return buf, buf[:, : hp * wp].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + w]
+    buf = np.zeros((c, n * hp * wp + k - 1), dtype=dtype)
+    return buf, buf[:, : n * hp * wp].reshape(c, n, hp, wp)[:, :, pad : pad + h, pad : pad + w]
 
 
 def _column_blocks(data, k):
@@ -248,10 +251,10 @@ def _column_blocks(data, k):
     n, c, h, w = data.shape
     wp = w + k - 1
     rows = _block_rows(c, k, h, wp)
-    xf, inner = _padded_flat(c, h, w, k, data.dtype)
+    xf, inner = _padded_flat(c, 1, h, w, k, data.dtype)
     buf = np.empty((c, k * k, rows * wp), dtype=data.dtype)
     for b in range(n):
-        inner[...] = data[b]
+        inner[:, 0] = data[b]
         for r0 in range(0, h, rows):
             m = min(rows, h - r0)
             cols = buf[:, :, : m * wp]
@@ -323,30 +326,35 @@ def _conv2d_same(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(out_data, (x, weight, bias), bwd)
 
 
-# float32 elements in one (batch, channel-slice) block of the depthwise
-# kernel: 256 KiB, so the input buffer and the three wide scratch buffers of
-# a block stay in a 2 MiB per-core L2 cache across the k*k shifted passes
+# float32 elements in one block of the depthwise kernel, channels of one image
+# or of a run of images: 256 KiB, so the input buffer and the three wide
+# scratch buffers stay in a 2 MiB per-core L2 cache across the k*k passes
 _DEPTHWISE_BLOCK = 1 << 16
 
 
 def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Per-channel k x k convolution (k odd), stride 1, ``pad = (k - 1)/2``.
 
-    Forward and backward work on one (batch, channel-slice) block of about
-    ``_DEPTHWISE_BLOCK`` elements at a time, so that each pass over a tap
-    reads and writes cache rather than memory. Each block is copied into
-    the layout of ``_padded_flat``, where every tap is one contiguous span;
-    the bias add leaves the wrapped columns out of the output. The backward
-    makes one pass over the blocks and copies each block of x and of g into
-    that layout once, so no pass pads or copies the whole activation.
+    Forward and backward work on one block of about ``_DEPTHWISE_BLOCK``
+    elements at a time, so that each pass over a tap stays in cache: the
+    slice of one image's channels that fits or, when all fit, every channel
+    of a run of consecutive images. A block is copied once into the layout
+    of ``_padded_flat``, where a tap of the whole run is the plain slice
+    ``xf[:m, s:s + L]``, so each multiply or add is one pass into
+    contiguous scratch rows. The passes run with numpy's buffer cut to one
+    image's wide rows: numpy copies every operand of a pass whose rows are
+    shorter than about a third of its buffer, which made the passes at
+    16 x 16 to 32 x 32 three times slower.
 
     The summation order is part of the contract, because training amplifies
-    last-ulp differences. The forward sums each kernel row left to right,
-    row 0 in the accumulator and every later row in a row buffer that it
-    then adds to it, in row order, then adds the bias: this equals
-    ``einsum("nchwij,cij->nchw")`` over the sliding windows value for value
-    at k = 1 and 3 (only the sign of a zero may differ), and agrees to float
-    rounding at other k.
+    last-ulp differences, and an image's outputs come from its own padded
+    plane through the same elementwise operations, so a batch gives every
+    image the bits of a one-image call. The forward sums each kernel row
+    left to right, row 0 in the accumulator and every later row in a row
+    buffer that it then adds to it, in row order, then adds the bias: this
+    equals ``einsum("nchwij,cij->nchw")`` over the sliding windows value for
+    value at k = 1 and 3 (only the sign of a zero may differ), and agrees to
+    float rounding at other k.
 
     The input gradient is a gather with the bits of a scatter of the shifts
     in (i, j) order. For weight (i, j) it reads g's tap
@@ -357,62 +365,74 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     round-to-nearest, so adding them changes no bit, not even the sign of a
     zero.
 
-    The weight gradient is the one sum whose order is not kept. It reads g
-    as its centre tap, g in wide rows whose k - 1 wrapped columns are zero.
-    For kernel row i, ``einsum("ckl,cl->ck")`` of the x taps
-    ``i*wp .. i*wp + k - 1`` with that span gives the row's k dot products,
-    added to a ``(c, k, k)`` accumulator block by block in batch order. With
-    finite x the wrapped columns add zeros. Against the sliding-window einsum
-    ``einsum("nchwij,nchw->cij")`` it replaced, each entry differs by at
-    most ``2*m*eps*sum|x*g|`` over its m = n*h*w products, eps of the data's
-    dtype.
+    The weight gradient is the one sum whose order is not kept. Per image
+    and kernel row i, ``einsum("ckl,cl->ck")`` of the x taps
+    ``i*wp .. i*wp + k - 1`` with g's centre tap gives the row's k dot
+    products over the block's channels, added to a ``(c, k, k)`` accumulator
+    in batch order, under numpy's own buffer, with which einsum at k = 1
+    rounds one channel differently from several. Against the sliding-window
+    ``einsum("nchwij,nchw->cij")`` it replaced, each entry differs by at most
+    ``2*m*eps*sum|x*g|`` over its m = n*h*w products, eps of the dtype.
     """
     n, c, h, w = x.shape
     cw, one, k, _ = weight.shape
     if cw != c or one != 1:
         raise ShapeError(f"depthwise weight {weight.shape} incompatible with input channels {c}")
     dw = weight.data.reshape(c, k, k)
-    pad, wp = (k - 1) // 2, w + k - 1
+    pad, wp, plane = (k - 1) // 2, w + k - 1, (h + k - 1) * (w + k - 1)
     cb = min(c, max(1, _DEPTHWISE_BLOCK // (h * wp)))
-    blocks = [(b, slice(c0, c0 + cb), min(cb, c - c0)) for b in range(n) for c0 in range(0, c, cb)]
+    nb = min(n, max(1, _DEPTHWISE_BLOCK // (cb * plane)))
+    # (images, channels, run length, channel count, wide positions of the run)
+    blocks = [(slice(b0, b0 + nb), slice(c0, c0 + cb), min(nb, n - b0), min(cb, c - c0),
+               (min(nb, n - b0) - 1) * plane + h * wp) for b0 in range(0, n, nb) for c0 in range(0, c, cb)]
+    row_buffer = max(16, min(np.getbufsize(), h * wp) // 16 * 16)  # numpy takes multiples of 16
+
+    def planes(a, r):  # the (r, m, h, w) output positions of a block's scratch rows
+        strides = (a.strides[0],) + tuple(v * a.itemsize for v in (plane, wp, 1))
+        return as_strided(a, (len(a), r, h, w), strides).transpose(1, 0, 2, 3)
+
     out_data = np.empty((n, c, h, w), dtype=np.result_type(x.data, dw))
-    xf, x_in = _padded_flat(cb, h, w, k, x.dtype)
-    taps = sliding_window_view(xf, h * wp, axis=1)
-    acc, row, tmp = np.empty((3, cb, h * wp), dtype=out_data.dtype)
-    for b, cs, m in blocks:
-        x_in[:m] = x.data[b, cs]
-        a, r, t = acc[:m], row[:m], tmp[:m]
-        for i in range(k):
-            ri = np.multiply(taps[:m, i * wp], dw[cs, i, 0, None], out=r if i else a)
-            for j in range(1, k):
-                ri += np.multiply(taps[:m, i * wp + j], dw[cs, i, j, None], out=t)
-            if i:
-                a += r
-        np.add(a.reshape(m, h, wp)[:, :, :w], bias.data[cs, None, None], out=out_data[b, cs])
+    xf, x_in = _padded_flat(cb, nb, h, w, k, x.dtype)
+    acc, row, tmp = np.empty((3, cb * blocks[0][4]), dtype=out_data.dtype)
+    with np.errstate():
+        np.setbufsize(row_buffer)
+        for bs, cs, r, m, span in blocks:
+            x_in[:m, :r] = x.data[bs, cs].transpose(1, 0, 2, 3)
+            a, rw, t = (buf[: m * span].reshape(m, span) for buf in (acc, row, tmp))
+            for i in range(k):
+                ri = np.multiply(xf[:m, i * wp : i * wp + span], dw[cs, i, 0, None], out=rw if i else a)
+                for j in range(1, k):
+                    s = i * wp + j
+                    ri += np.multiply(xf[:m, s : s + span], dw[cs, i, j, None], out=t)
+                if i:
+                    a += rw
+            np.add(planes(a, r), bias.data[cs, None, None], out=out_data[bs, cs])
     xd, xn, wn, bn = x.data, x.node, weight.node, bias.node
 
     def bwd(g):
-        xb, xb_in = _padded_flat(cb, h, w, k, xd.dtype)
-        gf, gf_in = _padded_flat(cb, h, w, k, g.dtype)
+        xb, xb_in = _padded_flat(cb, nb, h, w, k, xd.dtype)
+        gf, gf_in = _padded_flat(cb, nb, h, w, k, g.dtype)
         xtaps = sliding_window_view(xb, h * wp, axis=1)
-        gtaps = sliding_window_view(gf, h * wp, axis=1)
         gwt = np.zeros((c, k, k), dtype=np.result_type(xd, g))
         if xn is not None:
-            gx, acc = np.empty((n, c, h, w), xd.dtype), np.empty((cb, h * wp), xd.dtype)
-            prod = np.empty((cb, h * wp), dtype=np.result_type(g, dw))
-        for b, cs, m in blocks:
-            xb_in[:m] = xd[b, cs]
-            gf_in[:m] = g[b, cs]
-            gm = gtaps[:m, pad * wp + pad]
-            for i in range(k):
-                gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, i * wp : i * wp + k], gm)
+            gx, acc = np.empty((n, c, h, w), xd.dtype), np.empty(cb * blocks[0][4], xd.dtype)
+            prod = np.empty(acc.size, dtype=np.result_type(g, dw))
+        for bs, cs, r, m, span in blocks:
+            xb_in[:m, :r] = xd[bs, cs].transpose(1, 0, 2, 3)
+            gf_in[:m, :r] = g[bs, cs].transpose(1, 0, 2, 3)
+            for o in range(0, r * plane, plane):
+                gm = gf[:m, o + pad * wp + pad : o + pad * wp + pad + h * wp]
+                for i in range(k):
+                    gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, o + i * wp : o + i * wp + k], gm)
             if xn is not None:
-                a = acc[:m]
-                a.fill(0)
-                for i, j in np.ndindex(k, k):
-                    gt = gtaps[:m, (k - 1 - i) * wp + k - 1 - j]
-                    a += np.multiply(gt, dw[cs, i, j, None], out=prod[:m])
-                gx[b, cs] = a.reshape(m, h, wp)[:, :, :w]
+                with np.errstate():
+                    np.setbufsize(row_buffer)
+                    a, p = (buf[: m * span].reshape(m, span) for buf in (acc, prod))
+                    a.fill(0)
+                    for i, j in np.ndindex(k, k):
+                        s = (k - 1 - i) * wp + k - 1 - j
+                        a += np.multiply(gf[:m, s : s + span], dw[cs, i, j, None], out=p)
+                    gx[bs, cs] = planes(a, r)
         _accum(wn, gwt.reshape(c, 1, k, k))
         _accum(bn, g.sum(axis=(0, 2, 3)))
         if xn is not None:
@@ -520,29 +540,31 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     input, with no window copy; NaN propagates as the argmax picks it. The
     views are taken last to first because ``np.maximum`` returns its second
     argument on a tie, so even a tie of -0.0 and +0.0 keeps the first
-    position's zero. The backward goes through the same views in row-major
-    order and hands each output's gradient to the first view that equals the
-    output or is NaN, which are the argmax's rules, again with no window
-    copy.
+    position's zero. The backward routes with the argmax's rules in two
+    steps: each flat column pair (a window row) picks its left element if it
+    is at least the right one or NaN, then each row pair picks its top row
+    if that row's ``np.maximum`` equals the output or is NaN, so the first
+    position in row-major order that ties the maximum or is NaN wins. Each
+    pick is a bit mask in g's integer width, which keeps g's bits.
     """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool_2x2 needs even spatial dims, got {h}x{w}")
-    ho, wo = h // 2, w // 2
-    d, xn = x.data, x.node
+    wo, d, xn = w // 2, x.data, x.node
     out_data = np.maximum(d[:, :, 1::2, 1::2], d[:, :, 1::2, 0::2])
     np.maximum(out_data, d[:, :, 0::2, 1::2], out=out_data)
     np.maximum(out_data, d[:, :, 0::2, 0::2], out=out_data)
 
     def bwd(g):
-        gx = np.zeros((n, c, h, w), dtype=g.dtype)
-        free = np.ones((n, c, ho, wo), dtype=bool)
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            v = d[:, :, a::2, b::2]
-            hit = free & ((v == out_data) | np.isnan(v))
-            np.copyto(gx[:, :, a::2, b::2], g, where=hit)
-            free &= ~hit
-        _accum(xn, gx)
+        bits = np.dtype(f"i{g.itemsize}")
+        pairs = d.reshape(-1, 2)
+        left = -((pairs[:, 0] >= pairs[:, 1]) | np.isnan(pairs[:, 0])).astype(bits)
+        top_max = np.maximum(pairs[:, 0], pairs[:, 1]).reshape(-1, 2, wo)[:, 0]
+        top = -((top_max == out_data.reshape(-1, wo)) | np.isnan(top_max)).astype(bits)
+        g_bits = g.reshape(-1, wo).view(bits)
+        g_rows = np.stack([g_bits & top, g_bits & ~top], axis=1).reshape(-1)
+        gx = np.stack([g_rows & left, g_rows & ~left], axis=1)
+        _accum(xn, gx.view(g.dtype).reshape(n, c, h, w))
 
     return _make(out_data, (x,), bwd)
 
@@ -552,19 +574,21 @@ def _upsample2x_axis(data, axis):
     ``x[m-1]*.25 + x[m]*.75`` and output 2m+1 is ``x[m]*.75 + x[m+1]*.25``;
     the clamped borders weigh their two taps 1 and 0. The border products
     are kept, so the result equals the weighted two-tap gather bit for bit,
-    non-finite inputs included."""
-    shape = list(data.shape)
-    shape[axis] *= 2
-    out = np.empty(shape, dtype=data.dtype)
-    x, o = np.moveaxis(data, axis, 0), np.moveaxis(out, axis, 0)
-    even, odd = o[0::2], o[1::2]
-    np.multiply(x[:-1], 0.25, out=even[1:])
-    even[1:] += x[1:] * 0.75
-    np.multiply(x[:-1], 0.75, out=odd[:-1])
-    odd[:-1] += x[1:] * 0.25
-    even[0] = x[0] * 1.0 + x[min(1, len(x) - 1)] * 0.0
-    odd[-1] = x[-1] * 1.0 + x[-1] * 0.0
-    return out
+    non-finite inputs included. Neighbours along the axis sit q apart in
+    the flat array, so each pass runs over the whole tensor as one span; the
+    border lines, where a span crosses planes, are then rewritten, and one
+    stack interleaves the even and odd lines."""
+    s, q = data.shape[axis], math.prod(data.shape[axis + 1 :])
+    x = data.reshape(-1)
+    even, odd = np.empty((2, x.size), dtype=data.dtype)
+    np.multiply(x[:-q], 0.25, out=even[q:])
+    even[q:] += x[q:] * 0.75
+    np.multiply(x[:-q], 0.75, out=odd[:-q])
+    odd[:-q] += x[q:] * 0.25
+    xl, el, ol = (a.reshape(-1, s, q) for a in (x, even, odd))
+    el[:, 0] = xl[:, 0] * 1.0 + xl[:, min(1, s - 1)] * 0.0
+    ol[:, -1] = xl[:, -1] * 1.0 + xl[:, -1] * 0.0
+    return np.stack([el, ol], axis=2).reshape(data.shape[:axis] + (2 * s,) + data.shape[axis + 1 :])
 
 
 def _upsample2x_axis_adjoint(g, axis):
@@ -574,27 +598,28 @@ def _upsample2x_axis_adjoint(g, axis):
     the output index would add them, first the left-tap weights and then
     the right-tap weights, each pass by ascending output index:
     ``((g[2m+1]*.75 + g[2m+2]*.25) + g[2m-1]*.25) + g[2m]*.75``, with the
-    border taps (weights 1 and 0) in their places.
+    border taps (weights 1 and 0) in their places. One copy de-interleaves
+    g's even and odd lines, and the passes run as in the forward.
     """
-    shape = list(g.shape)
-    shape[axis] //= 2
-    out = np.empty(shape, dtype=g.dtype)
-    g, gx = np.moveaxis(g, axis, 0), np.moveaxis(out, axis, 0)
-    even, odd = g[0::2], g[1::2]
-    if len(gx) == 1:
-        gx[0] = even[0] * 1.0 + odd[0] * 1.0
-        gx[0] += even[0] * 0.0
-        gx[0] += odd[0] * 0.0
+    s, q = g.shape[axis] // 2, math.prod(g.shape[axis + 1 :])
+    even, odd = np.ascontiguousarray(g.reshape(-1, s, 2, q).transpose(2, 0, 1, 3)).reshape(2, -1)
+    out = np.empty(g.shape[:axis] + (s,) + g.shape[axis + 1 :], dtype=g.dtype)
+    gx = out.reshape(-1)
+    el, ol, gl = (a.reshape(-1, s, q) for a in (even, odd, gx))
+    if s == 1:
+        np.add(even * 1.0, odd * 1.0, out=gx)
+        gx += even * 0.0
+        gx += odd * 0.0
         return out
-    gx[0] = even[0] * 1.0 + odd[0] * 0.75
-    gx[0] += even[1] * 0.25
-    np.multiply(odd[1:-1], 0.75, out=gx[1:-1])
-    gx[1:-1] += even[2:] * 0.25
-    gx[-1] = odd[-1] * 1.0
-    gx[1] += even[0] * 0.0
-    gx[1:] += odd[:-1] * 0.25
-    gx[1:] += even[1:] * 0.75
-    gx[-1] += odd[-1] * 0.0
+    np.multiply(odd, 0.75, out=gx)
+    gx[:-q] += even[q:] * 0.25
+    gl[:, -1] = ol[:, -1] * 1.0
+    gl[:, 1] += el[:, 0] * 0.0
+    gx[q:] += odd[:-q] * 0.25
+    gx += even * 0.75
+    gl[:, -1] += ol[:, -1] * 0.0
+    gl[:, 0] = el[:, 0] * 1.0 + ol[:, 0] * 0.75
+    gl[:, 0] += el[:, 1] * 0.25
     return out
 
 

@@ -236,8 +236,8 @@ def predict_masks(model: Model, images, lesion_class: int):
     """Infer-mode lesion masks, one (H, W) uint8 array per (1, H, W)
     image, one image per forward so that the peak memory is one slice's.
 
-    A mask depends on its own image only: every kernel runs image by
-    image, so both variants have the bits of any batch.
+    A mask has the bits of any batch: each kernel computes an image's
+    outputs from that image alone, by the same operations in any batch.
     """
     return [probs_to_mask(forward(model, Tensor(image[None]), mode="infer").data, lesion_class)[0]
             for image in images]

@@ -333,8 +333,20 @@ def _assert_equal_to_row_buffer_kernel(x, weight, bias, g, k):
 
 # w = 1 and h = 1 planes; at k > 1, (2, 8, 128, 128) gets blocks of 3, 3 and
 # 2 channels from the wide span 128 * (127 + k), where the row-buffer kernel
-# took 4 and 4
-ROW_BUFFER_SHAPES = DEPTHWISE_SHAPES + [(2, 3, 9, 1), (2, 3, 1, 9), (2, 8, 128, 128)]
+# took 4 and 4. When all of an image's channels fit in a block, the block
+# holds a run of images: (7, 3, 64, 64) runs them 5 and 2 (k = 1, 3) or 4
+# and 3 (k = 5, 7), so its last run is partial (at 128 x 128 a run would be
+# one image), and (4, 128, 4, 4) runs all four in one block.
+ROW_BUFFER_SHAPES = DEPTHWISE_SHAPES + [(2, 3, 9, 1), (2, 3, 1, 9), (2, 8, 128, 128),
+                                        (7, 3, 64, 64), (4, 128, 4, 4)]
+
+
+def _depthwise_run_length(shape, k):
+    """Images in one block of the depthwise kernel: as many as fit when all
+    of an image's channels fit, else one."""
+    n, c, h, w = shape
+    cb = min(c, max(1, _DEPTHWISE_BLOCK // (h * (w + k - 1))))
+    return min(n, max(1, _DEPTHWISE_BLOCK // (cb * (h + k - 1) * (w + k - 1))))
 
 
 class TestDepthwiseKernel:
@@ -553,6 +565,66 @@ class TestDepthwiseKernel:
         block = 3 * ((h + k - 1) * (w + k - 1) + k - 1) * 4
         gx = 2 * x.data.nbytes if x_grad else 0  # the gradient and its first-accumulation copy
         assert peak <= gx + (4 if x_grad else 2) * block + (64 << 10)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("side,c", [(4, 128), (8, 64), (32, 16)])
+    def test_batch_gives_each_image_its_one_image_bits(self, side, c, k):
+        # the three planes share each buffer row; inf and NaN on the borders
+        # of the middle one must not reach the planes either side of it
+        n = 3
+        assert _depthwise_run_length((n, c, side, side), k) == n
+        rng = np.random.default_rng(13)
+        x, g = (rng.normal(size=(n, c, side, side)).astype(np.float32) for _ in range(2))
+        for a in (x, g):
+            a[1, :, -1, :] = np.inf
+            a[1, :, :, -1] = -np.inf
+            a[1, :, 0, :] = np.nan
+        weight = rng.normal(size=(c, 1, k, k)).astype(np.float32)
+        bias = rng.normal(size=c).astype(np.float32)
+        with np.errstate(invalid="ignore"):
+            batch = _depthwise_run(_depthwise_conv2d, x, weight, bias, g, k)
+            for b in range(n):
+                one = _depthwise_run(_depthwise_conv2d, x[b : b + 1], weight, bias,
+                                     g[b : b + 1], k)
+                for got, want in zip(batch, one):
+                    np.testing.assert_array_equal(got[b], want[0])
+                    np.testing.assert_array_equal(np.signbit(got[b]), np.signbit(want[0]))
+        for got in batch:
+            assert np.isnan(got[1]).any() and np.isfinite(got[[0, 2]]).all()
+
+    @pytest.mark.parametrize("shape", [(4, 128, 4, 4), (4, 16, 32, 32)])
+    def test_small_map_footprint_stays_within_the_block(self, shape):
+        # a run of images fills a block, but no buffer grows past
+        # _DEPTHWISE_BLOCK elements plus the k - 1 tail of each row
+        k = 3
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        weight = Tensor(rng.normal(size=(shape[1], 1, k, k)).astype(np.float32),
+                        requires_grad=True)
+        bias = Tensor(np.zeros(shape[1], dtype=np.float32), requires_grad=True)
+        block = (_DEPTHWISE_BLOCK + shape[1] * (k - 1)) * 4
+        # numpy's ufunc buffers (np.getbufsize() elements for each of three
+        # operands) and small arrays
+        slack = 3 * np.getbufsize() * 4 + (64 << 10)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = _depthwise_conv2d(x, weight, bias)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= out.data.nbytes + 4 * block + slack
+        out = _depthwise_conv2d(x, weight, bias)
+        g = rng.normal(size=shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the input gradient, which _accum adopts without a copy, x and g in
+        # the padded layout, an accumulator and a product buffer
+        assert backward_peak <= x.data.nbytes + 4 * block + slack
 
     def test_infer_footprint_is_the_output_and_four_block_buffers(self):
         # padding the whole input, or a wide buffer for the whole output,
@@ -1112,6 +1184,32 @@ class TestBilinearClosedForm:
             np.testing.assert_array_equal(_upsample2x_axis(x, axis), _upsample_oracle(x, axis))
             np.testing.assert_array_equal(_upsample2x_axis_adjoint(g, axis),
                                           _upsample_adjoint_oracle(g, axis, s))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    @pytest.mark.parametrize("axis", [2, 3])
+    def test_non_finite_lines_stay_in_their_plane(self, s, axis):
+        # the flat passes run across plane boundaries; inf and NaN on the
+        # lines either side of one must reach only their own plane's outputs
+        rng = np.random.default_rng(s)
+
+        def case(shape):
+            a = rng.normal(size=shape).astype(np.float32)
+            lines = np.moveaxis(a, axis, 2)  # (n, c, line, ...) view of a
+            lines[0, 1, -1], lines[0, 2, 0] = np.inf, np.nan  # inside one image
+            lines[0, 2, -1], lines[1, 0, 0] = np.nan, -np.inf  # across two images
+            return a
+
+        shape = [2, 3, 4, 5]
+        shape[axis] = s
+        x = case(shape)
+        shape[axis] = 2 * s
+        g = case(shape)
+        with np.errstate(invalid="ignore"):
+            out = _upsample2x_axis(x, axis)
+            np.testing.assert_array_equal(out, _upsample_oracle(x, axis))
+            np.testing.assert_array_equal(_upsample2x_axis_adjoint(g, axis),
+                                          _upsample_adjoint_oracle(g, axis, s))
+        assert np.isfinite(out[0, 0]).all() and np.isfinite(out[1, 1:]).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layer_keeps_dtype(self, dtype):

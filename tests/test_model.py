@@ -275,7 +275,8 @@ def _images(n, side, seed=5):
 
 
 class TestPredictMasks:
-    # every kernel of both variants runs image by image, so one image per
+    # every kernel of both variants computes an image's outputs from that
+    # image alone, by the same operations in any batch, so one image per
     # forward has the batched loop's bits
 
     @pytest.mark.parametrize("batch", [8, 3])
