@@ -11,12 +11,11 @@ arithmetic as scalars or arrays of the data's dtype, so a float32 model
 computes in float32 end to end and gradcheck's float64 stays float64.
 
 A separable convolution is a depthwise k x k pass, computed as
-cache-blocked shifted multiply-adds, and a 1x1 pointwise pass, computed as
-one matmul per image. The depthwise pass and the standard k x k
-convolution (k > 1) both work on one flat row-padded layout (see
-``_padded_flat``), in which every kernel tap is one contiguous span; the
-depthwise pass lays the planes of a run of images end to end in each row,
-so that one multiply-add covers the run. A standard k x k convolution is
+cache-blocked shifted multiply-adds over runs of images, and a 1x1
+pointwise pass, computed as one matmul per image. The depthwise pass and
+the standard k x k convolution (k > 1) both work on one flat row-padded
+layout (see ``_padded_flat``), in which every kernel tap is one contiguous
+span, across the planes a row holds. A standard k x k convolution is
 row-blocked im2col on that layout: per image, blocks of output rows whose
 k*k tap spans are copied into a column buffer of about ``_CONV_BLOCK``
 elements, one GEMM each, with the weight matrix and K order of plain
@@ -228,8 +227,7 @@ def _padded_flat(c, n, h, w, k, dtype):
     y*wp + x holds plane position (r0 + y + i - pad, x + j - pad) for x < w.
     The caller drops the others: the last k - 1 of each wide row, which wrap
     into the next padded row, and those between planes. At the centre tap
-    (pad, pad) they read only border zeros, so its span is the planes
-    themselves in wide rows whose k - 1 wrapped columns are zero.
+    they read only border zeros, so its wrapped columns are zero.
     """
     hp, wp, pad = h + k - 1, w + k - 1, (k - 1) // 2
     buf = np.zeros((c, n * hp * wp + k - 1), dtype=dtype)
@@ -338,13 +336,12 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     Forward and backward work on one block of about ``_DEPTHWISE_BLOCK``
     elements at a time, so that each pass over a tap stays in cache: the
     slice of one image's channels that fits or, when all fit, every channel
-    of a run of consecutive images. A block is copied once into the layout
-    of ``_padded_flat``, where a tap of the whole run is the plain slice
-    ``xf[:m, s:s + L]``, so each multiply or add is one pass into
-    contiguous scratch rows. The passes run with numpy's buffer cut to one
-    image's wide rows: numpy copies every operand of a pass whose rows are
-    shorter than about a third of its buffer, which made the passes at
-    16 x 16 to 32 x 32 three times slower.
+    of a run of consecutive images. In the layout of ``_padded_flat`` a tap
+    of the whole run is the plain slice ``xf[:m, s:s + L]``, so each
+    multiply or add is one pass into contiguous scratch rows, run with
+    numpy's buffer cut to one image's wide rows: numpy copies every operand
+    of a pass whose rows are shorter than about a third of its buffer, which
+    made the passes at 16 x 16 to 32 x 32 three times slower.
 
     The summation order is part of the contract, because training amplifies
     last-ulp differences, and an image's outputs come from its own padded
@@ -394,8 +391,8 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out_data = np.empty((n, c, h, w), dtype=np.result_type(x.data, dw))
     xf, x_in = _padded_flat(cb, nb, h, w, k, x.dtype)
     acc, row, tmp = np.empty((3, cb * blocks[0][4]), dtype=out_data.dtype)
-    with np.errstate():
-        np.setbufsize(row_buffer)
+    old_buffer = np.setbufsize(row_buffer)
+    try:
         for bs, cs, r, m, span in blocks:
             x_in[:m, :r] = x.data[bs, cs].transpose(1, 0, 2, 3)
             a, rw, t = (buf[: m * span].reshape(m, span) for buf in (acc, row, tmp))
@@ -407,6 +404,8 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                 if i:
                     a += rw
             np.add(planes(a, r), bias.data[cs, None, None], out=out_data[bs, cs])
+    finally:
+        np.setbufsize(old_buffer)
     xd, xn, wn, bn = x.data, x.node, weight.node, bias.node
 
     def bwd(g):
@@ -425,14 +424,16 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                 for i in range(k):
                     gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, o + i * wp : o + i * wp + k], gm)
             if xn is not None:
-                with np.errstate():
-                    np.setbufsize(row_buffer)
+                old_buffer = np.setbufsize(row_buffer)
+                try:
                     a, p = (buf[: m * span].reshape(m, span) for buf in (acc, prod))
                     a.fill(0)
                     for i, j in np.ndindex(k, k):
                         s = (k - 1 - i) * wp + k - 1 - j
                         a += np.multiply(gf[:m, s : s + span], dw[cs, i, j, None], out=p)
                     gx[bs, cs] = planes(a, r)
+                finally:
+                    np.setbufsize(old_buffer)
         _accum(wn, gwt.reshape(c, 1, k, k))
         _accum(bn, g.sum(axis=(0, 2, 3)))
         if xn is not None:
@@ -540,12 +541,11 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     input, with no window copy; NaN propagates as the argmax picks it. The
     views are taken last to first because ``np.maximum`` returns its second
     argument on a tie, so even a tie of -0.0 and +0.0 keeps the first
-    position's zero. The backward routes with the argmax's rules in two
-    steps: each flat column pair (a window row) picks its left element if it
-    is at least the right one or NaN, then each row pair picks its top row
-    if that row's ``np.maximum`` equals the output or is NaN, so the first
-    position in row-major order that ties the maximum or is NaN wins. Each
-    pick is a bit mask in g's integer width, which keeps g's bits.
+    position's zero. The backward routes with the argmax's rules: each flat
+    column pair (a window row) picks its left element if it is at least the
+    right one or NaN, then each row pair its top row if that row's
+    ``np.maximum`` equals the output or is NaN. Each pick is a bit mask in
+    g's integer width, which keeps g's bits.
     """
     n, c, h, w = x.shape
     if h % 2 or w % 2:

@@ -626,6 +626,22 @@ class TestDepthwiseKernel:
         # the padded layout, an accumulator and a product buffer
         assert backward_peak <= x.data.nbytes + 4 * block + slack
 
+    def test_numpy_buffer_size_is_restored(self):
+        # the passes cut numpy's ufunc buffer; it must be back afterwards,
+        # even when a pass raises, or later reductions would round otherwise
+        size = np.getbufsize()
+        x = Tensor(np.ones((2, 4, 8, 8), dtype=np.float32), requires_grad=True)
+        weight = Tensor(np.ones((4, 1, 3, 3), dtype=np.float32), requires_grad=True)
+        out = _depthwise_conv2d(x, weight, Tensor(np.zeros(4, dtype=np.float32)))
+        assert np.getbufsize() == size
+        out._backward(np.ones(out.shape, dtype=np.float32))
+        assert np.getbufsize() == size
+        with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
+            _depthwise_conv2d(Tensor(np.full((2, 4, 8, 8), np.inf, dtype=np.float32)),
+                              Tensor(np.zeros((4, 1, 3, 3), dtype=np.float32)),
+                              Tensor(np.zeros(4, dtype=np.float32)))
+        assert np.getbufsize() == size
+
     def test_infer_footprint_is_the_output_and_four_block_buffers(self):
         # padding the whole input, or a wide buffer for the whole output,
         # would each add 8.5 MB to the peak
