@@ -116,7 +116,7 @@ BLOCK_CASES = {"resnet_block_8_16": _case_resnet_block}
 
 
 def project(out, proj):
-    """``(out * proj).sum()`` as one node, with the bits of the mul and sum nodes it replaced."""
+    """``(out * proj).sum()`` as one node."""
 
     shape, node = out.shape, out.node
 

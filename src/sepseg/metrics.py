@@ -41,10 +41,8 @@ def weighted_cross_entropy(probs: Tensor, labels, weights: np.ndarray) -> Tensor
     integer (N, H, W) array; ``weights`` is a float64 array of one weight
     per class.
 
-    The loss is one graph node whose only parent is ``probs``. Its value and
-    backward run the expressions of the seven-node chain it replaced (pick
-    by one-hot, sum over channels, clamped log, negate, weight, mean) in
-    that chain's order, so value and gradient keep the chain's bits.
+    The loss is one graph node whose only parent is ``probs``; its gradient
+    is zero outside each pixel's label channel.
     """
     labels = np.asarray(labels)
     n, c, h, w = probs.shape
@@ -52,18 +50,18 @@ def weighted_cross_entropy(probs: Tensor, labels, weights: np.ndarray) -> Tensor
         raise ShapeError(f"labels shape {labels.shape} does not match probs {probs.shape}")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"labels must lie in [0, {c}), got range [{labels.min()}, {labels.max()}]")
-    onehot = np.zeros((n, c, h, w), dtype=probs.dtype)
-    np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
-    pixel_w = weights.astype(probs.dtype)[labels][:, None]  # (N,1,H,W)
-    picked = (probs.data * onehot).sum(axis=1, keepdims=True)
+    index = labels[:, None]
+    pixel_w = weights.astype(probs.dtype)[index]  # (N,1,H,W)
+    picked = np.take_along_axis(probs.data, index, axis=1)
     clamped = np.maximum(picked, 1e-12)
     scale = 1.0 / picked.size
-    pn = probs.node
+    shape, dtype, pn = probs.shape, probs.dtype, probs.node
 
     def bwd(g):
-        gp = np.broadcast_to(g * scale, picked.shape) * pixel_w * -1.0
-        gp = np.where(picked >= 1e-12, gp / clamped, 0.0)
-        _accum(pn, np.broadcast_to(gp, onehot.shape) * onehot)
+        gp = np.where(picked >= 1e-12, -(g * scale * pixel_w) / clamped, 0.0)
+        gx = np.zeros(shape, dtype)
+        np.put_along_axis(gx, index, gp, axis=1)
+        _accum(pn, gx)
 
     return _make((-np.log(clamped) * pixel_w).sum() * scale, (probs,), bwd)
 

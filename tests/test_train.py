@@ -1,6 +1,13 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sepseg
 from sepseg.autograd import Rng, Tensor, backward
 from sepseg.data import generate_phantom, load_checkpoint, load_into_model
 from sepseg.metrics import weighted_cross_entropy
@@ -307,3 +314,42 @@ class TestEvaluate:
         dice, overlap = _mean_dice(model, samples, lesion_class)
         assert 0.0 < overlap < dice < 1.0
         assert (dice, overlap) == (means["dice"], means["overlap"])
+
+
+def _openblas_on_avx2():
+    """Whether numpy's BLAS is OpenBLAS on an x86-64 CPU that can run its
+    Haswell kernel (AVX2 and FMA3)."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        from numpy._core._multiarray_umath import __cpu_features__
+    except (TypeError, KeyError, ImportError):  # numpy before 2.0 reports neither
+        return False
+    return "openblas" in blas.lower() and __cpu_features__["AVX2"] and __cpu_features__["FMA3"]
+
+
+@pytest.mark.skipif(not _openblas_on_avx2(), reason="needs numpy on OpenBLAS on x86-64 with AVX2")
+def test_training_agrees_across_blas_kernels(tmp_path):
+    # README's contract: a short seed-0 run on another OpenBLAS kernel logs
+    # the same iterations, losses within 1e-4 relative and scores within 0.01
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.base-depth = 4\ntrain.iterations = 3\ntrain.batch-size = 2\n"
+                   "train.eval-every = 1\nseed = 0\n")
+    logs = []
+    for kernel in ("", "Haswell"):  # "" leaves the choice to OpenBLAS
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(Path(sepseg.__file__).parents[1])
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        out = tmp_path / (kernel or "default")
+        proc = subprocess.run([sys.executable, "-m", "sepseg.cli", "train", "--config", str(cfg),
+                               "--data", "phantoms:8x32", "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        logs.append(np.loadtxt(out / "run_log.csv", delimiter=",", skiprows=1))
+    default, other = logs
+    np.testing.assert_array_equal(other[:, 0], [1, 2, 3])
+    np.testing.assert_array_equal(other[:, 0], default[:, 0])
+    np.testing.assert_allclose(other[:, 1], default[:, 1], rtol=1e-4, atol=0)
+    np.testing.assert_allclose(other[:, 2:], default[:, 2:], rtol=0, atol=0.01)
