@@ -83,10 +83,6 @@ class Tensor:
         self.node = Node((), None) if requires_grad else None
 
     @property
-    def requires_grad(self):
-        return self.node is not None
-
-    @property
     def grad(self):
         return None if self.node is None else self.node.grad
 
@@ -111,10 +107,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -125,9 +117,6 @@ class Tensor:
     def zero_grad(self):
         if self.node is not None:
             self.node.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
 _recording = True
@@ -212,75 +201,6 @@ def concat(tensors):
             _accum(node, g[:, lo:hi])
 
     return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), bwd)
-
-
-def matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-
-    ad, bd, an, bn = a.data, b.data, a.node, b.node
-
-    def bwd(g):
-        _accum(an, g @ bd.T)
-        _accum(bn, ad.T @ g)
-
-    return _make(a.data @ b.data, (a, b), bwd)
-
-
-# -- im2col -------------------------------------------------------------------
-
-
-def _im2col_forward(x, k, stride, pad):
-    n, c, h, w = x.shape
-    h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (w + 2 * pad - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((c, k, k, n, h_out, w_out), dtype=x.dtype)
-    for ky in range(k):
-        for kx in range(k):
-            patch = xp[:, :, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
-            cols[:, ky, kx] = patch.transpose(1, 0, 2, 3)
-    return cols.reshape(c * k * k, n * h_out * w_out)
-
-
-def _col2im_forward(cols, x_shape, k, stride, pad):
-    n, c, h, w = x_shape
-    h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (w + 2 * pad - k) // stride + 1
-    cols = cols.reshape(c, k, k, n, h_out, w_out)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    # within one offset the strided slice repeats no index, so a plain
-    # += adds each column value once, in the same offset order as a scatter
-    for ky in range(k):
-        for kx in range(k):
-            patch = xp[:, :, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
-            patch += cols[:, ky, kx].transpose(1, 0, 2, 3)
-    if pad:
-        xp = xp[:, :, pad:-pad, pad:-pad]
-    return xp
-
-
-def _check_im2col_args(x_shape, k, stride, pad):
-    if len(x_shape) != 4:
-        raise ShapeError(f"im2col expects a 4-D tensor, got shape {x_shape}")
-    _, _, h, w = x_shape
-    if k < 1 or stride < 1 or pad < 0:
-        raise ValueError(f"invalid im2col arguments k={k} stride={stride} pad={pad}")
-    if h + 2 * pad < k or w + 2 * pad < k:
-        raise ShapeError(f"kernel {k} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
-
-
-def im2col(x, k, stride=1, pad=0):
-    """Unfold receptive fields into a (C*k*k) x (N*H_out*W_out) matrix."""
-    _check_im2col_args(x.shape, k, stride, pad)
-    x_shape, xn = x.shape, x.node
-
-    def bwd(g):
-        _accum(xn, _col2im_forward(g, x_shape, k, stride, pad))
-
-    return _make(_im2col_forward(x.data, k, stride, pad), (x,), bwd)
 
 
 # -- graph traversal ----------------------------------------------------------

@@ -75,13 +75,11 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parser(kind):
-    return _bool if kind is bool else kind
-
-
-# key -> the parser of its field's type, resolved once at import
+# key -> the parser of its field's type, resolved once at import: _bool for
+# a bool, else the type itself
 _HINTS = {section: typing.get_type_hints(cls) for section, cls in SECTIONS.items()}
-_PARSERS = {key: _parser(_HINTS[section][name]) for key, (section, name) in KEYS.items()}
+_PARSERS = {key: _HINTS[section][name] for key, (section, name) in KEYS.items()}
+_PARSERS.update({key: _bool for key, kind in _PARSERS.items() if kind is bool})
 
 
 def _rejects(cls, **values):

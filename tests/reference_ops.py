@@ -6,11 +6,14 @@ that the one-node layers replaced) and exercise the graph engine with them.
 A plain number operand becomes a constant Tensor of the other operand's
 dtype, as the ``Tensor`` operators made it. Unlike the package's ops, these
 broadcast: ``b`` may add size-1 axes or drop leading axes relative to ``a``.
+Nodes are made through the module attribute ``autograd._make``, so that
+fixtures patching it see them.
 """
 
 import numpy as np
 
-from sepseg.autograd import ShapeError, Tensor, _accum, _make
+from sepseg import autograd
+from sepseg.autograd import ShapeError, Tensor, _accum
 
 
 def check_broadcast(a_shape, b_shape):
@@ -46,7 +49,7 @@ def add(a, b):
         _accum(a.node, unbroadcast(g, a.shape))
         _accum(b.node, unbroadcast(g, b.shape))
 
-    return _make(a.data + b.data, (a, b), bwd)
+    return autograd._make(a.data + b.data, (a, b), bwd)
 
 
 def mul(a, b):
@@ -55,12 +58,12 @@ def mul(a, b):
     check_broadcast(a.shape, b.shape)
 
     def bwd(g):
-        if a.requires_grad:
+        if a.node is not None:
             _accum(a.node, unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
+        if b.node is not None:
             _accum(b.node, unbroadcast(g * a.data, b.shape))
 
-    return _make(a.data * b.data, (a, b), bwd)
+    return autograd._make(a.data * b.data, (a, b), bwd)
 
 
 def tensor_sum(x, axis=None, keepdims=False):
@@ -70,4 +73,4 @@ def tensor_sum(x, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         _accum(x.node, np.broadcast_to(g, x.shape))
 
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
+    return autograd._make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)

@@ -44,9 +44,24 @@ def _simple_targets():
     raise AssertionError(f"SIMPLE_TARGETS not found in {TRACING}")
 
 
-@pytest.mark.parametrize("module,attr", _simple_targets() + list(DIRECT_TARGETS))
+# traced names whose code is deleted; the tracer skips them and their
+# metrics read 0. Empty this set once the benchmark drops them.
+RETIRED_TARGETS = {
+    ("sepseg.autograd", "im2col"),
+    ("sepseg.autograd", "matmul"),
+}
+
+
+@pytest.mark.parametrize("module,attr", [t for t in _simple_targets() + list(DIRECT_TARGETS)
+                                         if t not in RETIRED_TARGETS])
 def test_traced_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("module,attr", sorted(RETIRED_TARGETS))
+def test_retired_name_is_gone_and_still_traced(module, attr):
+    assert not hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    assert (module, attr) in _simple_targets()
 
 
 def test_layers_build_nodes_through_autograd_make():

@@ -86,10 +86,7 @@ def test_every_export_is_defined_by_its_module(path):
 
 
 # graph ops that no other module imports, each kept for a stated reason
-UNCALLED_OPS = {
-    "im2col",  # a traced benchmark target until the benchmark drops it
-    "matmul",  # the same
-}
+UNCALLED_OPS = set()
 
 
 def uncalled_ops(autograd_tree, other_trees):
@@ -135,8 +132,6 @@ def test_every_graph_op_has_a_caller():
 # stated reason
 UNPASSED_DEFAULTS = {
     ("cli", "main", "argv"),  # the entry point: the console script passes nothing
-    ("autograd", "im2col", "stride"),  # a traced benchmark target until the benchmark drops it
-    ("autograd", "im2col", "pad"),  # the same
     ("model", "build_model", "dtype"),  # the float64 model test builds one
 }
 
@@ -146,7 +141,7 @@ ALWAYS_PASSED_DEFAULTS = set()
 
 # settable values in src/sepseg (see ``settable_values``); a change that adds
 # one raises this bound and says why
-SETTABLE_VALUES_BOUND = 56
+SETTABLE_VALUES_BOUND = 54
 
 
 def _field_keywords(node):

@@ -13,8 +13,6 @@ from sepseg.autograd import (
     _make,
     backward,
     grad_check,
-    im2col,
-    matmul,
     no_grad,
     relu,
 )
@@ -296,7 +294,7 @@ def _depthwise_row_buffer_oracle(x, weight, bias):
         win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
         _accum(weight.node, np.einsum("nchwij,nchw->cij", win, g).reshape(c, 1, k, k))
         _accum(bias.node, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
+        if x.node is not None:
             gpad = np.zeros_like(xp)
             prod = np.empty((cb, ho, wo), dtype=np.result_type(g, dw))
             for b, cs in blocks:
@@ -449,7 +447,7 @@ class TestDepthwiseKernel:
 
             def recording(xt, weight, bias):
                 out = conv(xt, weight, bias)
-                if not out.requires_grad:  # the infer forward records no node
+                if out.node is None:  # the infer forward records no node
                     return out
                 bwd = out._backward
 
@@ -668,21 +666,11 @@ class TestConv1x1:
         b_np = rng.normal(size=c_out).astype(np.float32)
         g = rng.normal(size=(n, c_out, side, side)).astype(np.float32)
 
-        def run(fast):
-            x = Tensor(x_np, requires_grad=True)
-            w = Tensor(w_np, requires_grad=True)
-            b = Tensor(b_np, requires_grad=True)
-            if fast:
-                out = conv2d(x, Conv2dParams(w, b))
-            else:  # the general path: im2col + matmul + transpose + bias
-                cols = matmul(_reshape(w, (c_out, c_in)), im2col(x, 1))
-                out = _transpose(_reshape(cols, (c_out, n, side, side)), (1, 0, 2, 3))
-                out = add(out, _reshape(b, (1, c_out, 1, 1)))
-            backward(project(out, g))
-            return out.data, x.grad, w.grad, b.grad
-
-        fast, ref = run(True), run(False)
-        assert fast[0].dtype == np.float32
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x_np, w_np, b_np))
+        out = conv2d(x, Conv2dParams(w, b))
+        backward(project(out, g))
+        ref = _im2col_conv_oracle(x_np, w_np, b_np, g)
+        assert out.dtype == np.float32
         # the per-image product and im2col's one GEMM may sum each output's
         # c_in products in different orders (OpenBLAS's Haswell sgemm does):
         # two orders of an n-term dot product differ by at most
@@ -690,8 +678,8 @@ class TestConv1x1:
         terms = np.einsum("oi,nihw->nohw", np.abs(w_np[:, :, 0, 0]), np.abs(x_np))
         terms += np.abs(b_np)[:, None, None]
         bound = 2 * (c_in + 1) * np.finfo(np.float32).eps * terms
-        assert np.all(np.abs(fast[0] - ref[0]) <= bound)
-        for got, want in zip(fast[1:], ref[1:]):
+        assert np.all(np.abs(out.data - ref[0]) <= bound)
+        for got, want in zip((x.grad, w.grad, b.grad), ref[1:]):
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_one_graph_node(self):
@@ -929,8 +917,8 @@ def _power(x, p):
     return _make(x.data**p, (x,), bwd)
 
 
-# the reshape, transpose and mean that autograd provided until no layer
-# composed them any more; the batch-norm, 1x1-conv and loss oracles still do
+# the reshape and mean that autograd provided until no layer composed them
+# any more; the batch-norm and loss oracles still do
 # (see reference_ops for add, mul and sum)
 
 
@@ -941,15 +929,6 @@ def _reshape(x, shape):
         _accum(x.node, g.reshape(old_shape))
 
     return _make(x.data.reshape(shape), (x,), bwd)
-
-
-def _transpose(x, axes):
-    inv = np.argsort(axes)
-
-    def bwd(g):
-        _accum(x.node, g.transpose(inv))
-
-    return _make(x.data.transpose(axes), (x,), bwd)
 
 
 def _mean(x, axis=None, keepdims=False):

@@ -141,9 +141,9 @@ class TestGraphLifetime:
         model = small_model()
         x = _batch(1, 32)
         probs = forward(model, x, "infer")
-        assert not probs.requires_grad and probs._parents == ()
+        assert probs.node is None and probs._parents == ()
         probs = forward(model, x, "train", rng=Rng(0, 1))
-        assert probs.requires_grad and probs._parents
+        assert probs.node is not None and probs._parents
 
     def test_forward_that_raises_leaves_recording_on(self, monkeypatch):
         def broken(t):
@@ -154,7 +154,7 @@ class TestGraphLifetime:
         with pytest.raises(RuntimeError, match="pooling failed"):
             forward(model, _batch(1, 32), "infer")
         w = model.head.weight
-        assert relu(w).requires_grad
+        assert relu(w).node is not None
 
     def test_backward_releases_every_interior_node(self):
         from sepseg.metrics import weighted_cross_entropy
