@@ -12,7 +12,8 @@ computes in float32 end to end and gradcheck's float64 stays float64.
 
 A separable convolution is a depthwise k x k pass, computed as
 cache-blocked shifted multiply-adds over runs of images, and a 1x1
-pointwise pass, computed as one matmul per image. The depthwise pass and
+pointwise pass, computed as one matmul per image (a broadcast product when
+it has one input channel). The depthwise pass and
 the standard k x k convolution (k > 1) both work on one flat row-padded
 layout (see ``_padded_flat``), in which every kernel tap is one contiguous
 span, across the planes a row holds. A standard k x k convolution is
@@ -44,7 +45,15 @@ A backward closure keeps only the arrays it reads, never a tensor (see
 ``autograd``): a conv its input, max pooling its input and output,
 softmax its output, train-mode batch norm the normalized input and the
 per-channel standard deviation, dropout its boolean keep mask. Bilinear
-upsampling and pixel shuffle keep no activation.
+upsampling and pixel shuffle keep no activation. A separable conv is one
+node that keeps only its input: its backward recomputes the depthwise
+output, which the pointwise weight gradient reads, and frees it before the
+depthwise backward runs. At 64x64, batch 4, base depth 8 that cut what a
+``proposed`` train forward and loss keep from 13.9 to 9.6 MiB and the step
+peak from 15.4 to 11.5 MiB (``baseline-unet``: 11.1 and 17.6 MiB); at the
+paper's width, 128x128, batch 2, base depth 64, the step peak went from
+241.7 to 174.2 MiB against the U-net's 232.8 MiB (``tracemalloc``, above
+the model and Adam's moments).
 """
 
 from __future__ import annotations
@@ -53,9 +62,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .autograd import Rng, ShapeError, Tensor, _accum, _make
+from .autograd import Rng, ShapeError, Tensor, _accum, _make, no_grad
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
 BN_EPS = 1e-5  # added to the variance before its square root
@@ -163,25 +172,48 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 
 
 def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Pointwise convolution as one node: W @ x per image, no im2col copy.
-    The weight gradient sums the per-image products g @ x.T over the batch.
-    """
-    n, c_in, h, w = x.shape
-    c_out = weight.shape[0]
-    x3 = x.data.reshape(n, c_in, h * w)
-    w2 = weight.data.reshape(c_out, c_in)
-    out_data = np.matmul(w2, x3)
-    out_data += bias.data[:, None]
-    w_shape, xn, wn, bn = weight.shape, x.node, weight.node, bias.node
+    """Pointwise convolution as one node (see ``_pointwise``)."""
+    xd, wd = x.data, weight.data
+    xn, wn, bn = x.node, weight.node, bias.node
 
     def bwd(g):
-        g3 = g.reshape(n, c_out, h * w)
-        _accum(wn, np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape))
-        _accum(bn, g.sum(axis=(0, 2, 3)))
+        gw, gb = _pointwise_param_grads(xd, g, wd.shape)
+        _accum(wn, gw)
+        _accum(bn, gb)
         if xn is not None:
-            _accum(xn, np.matmul(w2.T, g3).reshape(n, c_in, h, w))
+            _accum(xn, _pointwise_input_grad(wd, g))
 
-    return _make(out_data.reshape(n, c_out, h, w), (x, weight, bias), bwd)
+    return _make(_pointwise(xd, wd, bias.data), (x, weight, bias), bwd)
+
+
+def _pointwise(x, weight, bias):
+    """``W @ x + b`` per image of ``x`` (N, C_in, H, W), no im2col copy. With
+    one input channel the product is a broadcast multiply, which numpy runs
+    about ten times faster than a matmul with K = 1; the two differ only in
+    the sign of a zero product, which the bias add makes +0.0 in both."""
+    n, c_in, h, w = x.shape
+    c_out = weight.shape[0]
+    x3 = x.reshape(n, c_in, h * w)
+    w2 = weight.reshape(c_out, c_in)
+    out = np.multiply(w2, x3) if c_in == 1 else np.matmul(w2, x3)
+    out += bias[:, None]
+    return out.reshape(n, c_out, h, w)
+
+
+def _pointwise_param_grads(x, g, w_shape):
+    """Weight and bias gradients of ``_pointwise``: the per-image products
+    ``g @ x.T`` summed over the batch, and g's per-channel sums."""
+    n, c_in, h, w = x.shape
+    g3 = g.reshape(n, -1, h * w)
+    gw = np.matmul(g3, x.reshape(n, c_in, h * w).transpose(0, 2, 1)).sum(axis=0)
+    return gw.reshape(w_shape), g.sum(axis=(0, 2, 3))
+
+
+def _pointwise_input_grad(weight, g):
+    """Input gradient of ``_pointwise``: ``W.T @ g`` per image."""
+    n, c_out, h, w = g.shape
+    w2 = weight.reshape(c_out, -1)
+    return np.matmul(w2.T, g.reshape(n, c_out, h * w)).reshape(n, w2.shape[1], h, w)
 
 
 # elements of one row block's column buffer in the k x k conv (4 MiB of
@@ -310,26 +342,91 @@ def _conv2d_same(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 _DEPTHWISE_BLOCK = 1 << 16
 
 
-def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Per-channel k x k convolution (k odd), stride 1, ``pad = (k - 1)/2``.
+def _depthwise_blocks(shape, k):
+    """The blocks of the depthwise kernel for an input of ``shape`` and a
+    k x k kernel: ``(cb, nb, blocks)``, the channels and images one block
+    holds, and for each block ``(images, channels, run length, channel
+    count, wide positions of the run)``."""
+    n, c, h, w = shape
+    wp, plane = w + k - 1, (h + k - 1) * (w + k - 1)
+    cb = min(c, max(1, _DEPTHWISE_BLOCK // (h * wp)))
+    nb = min(n, max(1, _DEPTHWISE_BLOCK // (cb * plane)))
+    blocks = [(slice(b0, b0 + nb), slice(c0, c0 + cb), min(nb, n - b0), min(cb, c - c0),
+               (min(nb, n - b0) - 1) * plane + h * wp) for b0 in range(0, n, nb) for c0 in range(0, c, cb)]
+    return cb, nb, blocks
 
-    Forward and backward work on one block of about ``_DEPTHWISE_BLOCK``
-    elements at a time, so that each pass over a tap stays in cache: the
-    slice of one image's channels that fits or, when all fit, every channel
-    of a run of consecutive images. In the layout of ``_padded_flat`` a tap
-    of the whole run is the plain slice ``xf[:m, s:s + L]``, so each
-    multiply or add is one pass into contiguous scratch rows, run with
-    numpy's buffer cut to one image's wide rows: numpy copies every operand
-    of a pass whose rows are shorter than about a third of its buffer, which
-    made the passes at 16 x 16 to 32 x 32 three times slower.
+
+def _row_buffer(h, wp):
+    """numpy's ufunc buffer for the depthwise passes: one image's wide rows,
+    in the multiples of 16 numpy takes."""
+    return max(16, min(np.getbufsize(), h * wp) // 16 * 16)
+
+
+def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """The depthwise half of a separable conv's forward (see
+    ``_depthwise_forward``), as a tensor with no node. The benchmark's tracer
+    times the depthwise forward under this name, so the backward's
+    recompute calls ``_depthwise_forward`` and is timed as backward."""
+    return Tensor(_depthwise_forward(x.data, weight.data, bias.data))
+
+
+def _depthwise_forward(x, weight, bias):
+    """Per-channel k x k convolution (k odd) of ``x`` (N, C, H, W), stride 1,
+    ``pad = (k - 1)/2``, plus ``bias``.
+
+    Forward and backward (``_depthwise_backward``) work on one block of
+    about ``_DEPTHWISE_BLOCK`` elements at a time, so that each pass over a
+    tap stays in cache: the slice of one image's channels that fits or,
+    when all fit, every channel of a run of consecutive images. In the
+    layout of ``_padded_flat`` a tap of the whole run is the plain slice
+    ``xf[:m, s:s + L]``, so each multiply or add is one pass into scratch
+    rows, run with numpy's buffer cut to one image's wide rows: numpy copies
+    every operand of a pass whose rows are shorter than about a third of its
+    buffer, which made the passes at 16 x 16 to 32 x 32 three times slower.
+    A scratch row holds a run's whole padded planes, so the outputs are its
+    ``(m, nb, hp, wp)`` view cut to ``[:, :r, :h, :w]``.
 
     An image's outputs come from its own padded plane through the same
     elementwise operations, so a batch gives every image the bits of a
-    one-image call. The forward sums each kernel row left to right, row 0 in
-    the accumulator and every later row in a row buffer that it then adds to
-    it, in row order, then adds the bias. That order stays because the plain
-    (i, j) order moved the seed-0 ``train-proposed-64`` loss by 1.02e-3
-    relative, past the benchmark's 1e-3 reference tolerance.
+    one-image call. The sum runs over each kernel row left to right, row 0
+    in the accumulator and every later row in a row buffer that it then
+    adds to it, in row order, then adds the bias. That order stays because
+    the plain (i, j) order moved the seed-0 ``train-proposed-64`` loss by
+    1.02e-3 relative, past the benchmark's 1e-3 reference tolerance.
+    """
+    n, c, h, w = x.shape
+    cw, one, k, _ = weight.shape
+    if cw != c or one != 1:
+        raise ShapeError(f"depthwise weight {weight.shape} incompatible with input channels {c}")
+    dw = weight.reshape(c, k, k)
+    hp, wp = h + k - 1, w + k - 1
+    cb, nb, blocks = _depthwise_blocks(x.shape, k)
+    out = np.empty((n, c, h, w), dtype=np.result_type(x, dw))
+    xf, x_in = _padded_flat(cb, nb, h, w, k, x.dtype)
+    acc, row, tmp = np.empty((3, cb * nb * hp * wp), dtype=out.dtype)
+    old_buffer = np.setbufsize(_row_buffer(h, wp))
+    try:
+        for bs, cs, r, m, span in blocks:
+            x_in[:m, :r] = x[bs, cs].transpose(1, 0, 2, 3)
+            a, rw, t = (buf[: m * nb * hp * wp].reshape(m, -1)[:, :span] for buf in (acc, row, tmp))
+            for i in range(k):
+                ri = np.multiply(xf[:m, i * wp : i * wp + span], dw[cs, i, 0, None], out=rw if i else a)
+                for j in range(1, k):
+                    s = i * wp + j
+                    ri += np.multiply(xf[:m, s : s + span], dw[cs, i, j, None], out=t)
+                if i:
+                    a += rw
+            planes = acc[: m * nb * hp * wp].reshape(m, nb, hp, wp)[:, :r, :h, :w]
+            np.add(planes.transpose(1, 0, 2, 3), bias[cs, None, None], out=out[bs, cs])
+    finally:
+        np.setbufsize(old_buffer)
+    return out.astype(x.dtype, copy=False)
+
+
+def _depthwise_backward(x, weight, g, x_grad):
+    """Weight, bias and (when ``x_grad``) input gradients of
+    ``_depthwise_forward`` at input ``x`` for upstream ``g``; the input
+    gradient is ``None`` otherwise.
 
     The input gradient is a gather: for weight (i, j) it reads g's tap
     (k - 1 - i, k - 1 - j), so input (y, x) reads g at padded position
@@ -339,80 +436,72 @@ def _depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     centre tap, in batch order, under numpy's own buffer size.
     """
     n, c, h, w = x.shape
-    cw, one, k, _ = weight.shape
-    if cw != c or one != 1:
-        raise ShapeError(f"depthwise weight {weight.shape} incompatible with input channels {c}")
-    dw = weight.data.reshape(c, k, k)
-    pad, wp, plane = (k - 1) // 2, w + k - 1, (h + k - 1) * (w + k - 1)
-    cb = min(c, max(1, _DEPTHWISE_BLOCK // (h * wp)))
-    nb = min(n, max(1, _DEPTHWISE_BLOCK // (cb * plane)))
-    # (images, channels, run length, channel count, wide positions of the run)
-    blocks = [(slice(b0, b0 + nb), slice(c0, c0 + cb), min(nb, n - b0), min(cb, c - c0),
-               (min(nb, n - b0) - 1) * plane + h * wp) for b0 in range(0, n, nb) for c0 in range(0, c, cb)]
-    row_buffer = max(16, min(np.getbufsize(), h * wp) // 16 * 16)  # numpy takes multiples of 16
-
-    def planes(a, r):  # the (r, m, h, w) output positions of a block's scratch rows
-        strides = (a.strides[0],) + tuple(v * a.itemsize for v in (plane, wp, 1))
-        return as_strided(a, (len(a), r, h, w), strides).transpose(1, 0, 2, 3)
-
-    out_data = np.empty((n, c, h, w), dtype=np.result_type(x.data, dw))
-    xf, x_in = _padded_flat(cb, nb, h, w, k, x.dtype)
-    acc, row, tmp = np.empty((3, cb * blocks[0][4]), dtype=out_data.dtype)
-    old_buffer = np.setbufsize(row_buffer)
-    try:
-        for bs, cs, r, m, span in blocks:
-            x_in[:m, :r] = x.data[bs, cs].transpose(1, 0, 2, 3)
-            a, rw, t = (buf[: m * span].reshape(m, span) for buf in (acc, row, tmp))
+    k = weight.shape[2]
+    dw = weight.reshape(c, k, k)
+    pad, hp, wp = (k - 1) // 2, h + k - 1, w + k - 1
+    cb, nb, blocks = _depthwise_blocks(x.shape, k)
+    xb, xb_in = _padded_flat(cb, nb, h, w, k, x.dtype)
+    gf, gf_in = _padded_flat(cb, nb, h, w, k, g.dtype)
+    xtaps = sliding_window_view(xb, h * wp, axis=1)
+    gwt = np.zeros((c, k, k), dtype=np.result_type(x, g))
+    gx = None
+    if x_grad:
+        gx, acc = np.empty((n, c, h, w), x.dtype), np.empty(cb * nb * hp * wp, x.dtype)
+        prod = np.empty(acc.size, dtype=np.result_type(g, dw))
+    for bs, cs, r, m, span in blocks:
+        xb_in[:m, :r] = x[bs, cs].transpose(1, 0, 2, 3)
+        gf_in[:m, :r] = g[bs, cs].transpose(1, 0, 2, 3)
+        for o in range(0, r * hp * wp, hp * wp):
+            gm = gf[:m, o + pad * wp + pad : o + pad * wp + pad + h * wp]
             for i in range(k):
-                ri = np.multiply(xf[:m, i * wp : i * wp + span], dw[cs, i, 0, None], out=rw if i else a)
-                for j in range(1, k):
-                    s = i * wp + j
-                    ri += np.multiply(xf[:m, s : s + span], dw[cs, i, j, None], out=t)
-                if i:
-                    a += rw
-            np.add(planes(a, r), bias.data[cs, None, None], out=out_data[bs, cs])
-    finally:
-        np.setbufsize(old_buffer)
-    xd, xn, wn, bn = x.data, x.node, weight.node, bias.node
-
-    def bwd(g):
-        xb, xb_in = _padded_flat(cb, nb, h, w, k, xd.dtype)
-        gf, gf_in = _padded_flat(cb, nb, h, w, k, g.dtype)
-        xtaps = sliding_window_view(xb, h * wp, axis=1)
-        gwt = np.zeros((c, k, k), dtype=np.result_type(xd, g))
-        if xn is not None:
-            gx, acc = np.empty((n, c, h, w), xd.dtype), np.empty(cb * blocks[0][4], xd.dtype)
-            prod = np.empty(acc.size, dtype=np.result_type(g, dw))
-        for bs, cs, r, m, span in blocks:
-            xb_in[:m, :r] = xd[bs, cs].transpose(1, 0, 2, 3)
-            gf_in[:m, :r] = g[bs, cs].transpose(1, 0, 2, 3)
-            for o in range(0, r * plane, plane):
-                gm = gf[:m, o + pad * wp + pad : o + pad * wp + pad + h * wp]
-                for i in range(k):
-                    gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, o + i * wp : o + i * wp + k], gm)
-            if xn is not None:
-                old_buffer = np.setbufsize(row_buffer)
-                try:
-                    a, p = (buf[: m * span].reshape(m, span) for buf in (acc, prod))
-                    a.fill(0)
-                    for i, j in np.ndindex(k, k):
-                        s = (k - 1 - i) * wp + k - 1 - j
-                        a += np.multiply(gf[:m, s : s + span], dw[cs, i, j, None], out=p)
-                    gx[bs, cs] = planes(a, r)
-                finally:
-                    np.setbufsize(old_buffer)
-        _accum(wn, gwt.reshape(c, 1, k, k))
-        _accum(bn, g.sum(axis=(0, 2, 3)))
-        if xn is not None:
-            _accum(xn, gx)
-
-    return _make(out_data.astype(x.dtype, copy=False), (x, weight, bias), bwd)
+                gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, o + i * wp : o + i * wp + k], gm)
+        if x_grad:
+            old_buffer = np.setbufsize(_row_buffer(h, wp))
+            try:
+                a, p = (buf[: m * nb * hp * wp].reshape(m, -1)[:, :span] for buf in (acc, prod))
+                a.fill(0)
+                for i, j in np.ndindex(k, k):
+                    s = (k - 1 - i) * wp + k - 1 - j
+                    a += np.multiply(gf[:m, s : s + span], dw[cs, i, j, None], out=p)
+                planes = acc[: m * nb * hp * wp].reshape(m, nb, hp, wp)[:, :r, :h, :w]
+                gx[bs, cs] = planes.transpose(1, 0, 2, 3)
+            finally:
+                np.setbufsize(old_buffer)
+    return gwt.reshape(c, 1, k, k), g.sum(axis=(0, 2, 3)), gx
 
 
 def separable_conv2d(x: Tensor, p: SeparableConv2dParams) -> Tensor:
-    """Depthwise spatial convolution followed by 1x1 pointwise mixing."""
-    mid = _depthwise_conv2d(x, p.depthwise_weight, p.depthwise_bias)
-    return conv2d(mid, Conv2dParams(p.pointwise_weight, p.pointwise_bias))
+    """Depthwise spatial convolution followed by 1x1 pointwise mixing, as
+    one graph node that keeps only its input.
+
+    The forward is the two plain calls ``_depthwise_conv2d`` and ``conv2d``,
+    with nothing recorded between them, so the depthwise output dies with
+    the forward. The backward recomputes it from ``x`` with the same kernel,
+    so with the same bits (the sublinear-memory trade of Chen et al., arXiv
+    1604.06174), takes the pointwise weight and bias gradients from it and
+    frees it, then runs the pointwise input gradient and the depthwise
+    backward. It hands the gradients over in the order of the two nodes it
+    replaced: pointwise weight and bias, then depthwise weight and bias,
+    then input.
+    """
+    dw, db, pw, pb = p.depthwise_weight, p.depthwise_bias, p.pointwise_weight, p.pointwise_bias
+    with no_grad():
+        out = conv2d(_depthwise_conv2d(x, dw, db), Conv2dParams(pw, pb))
+    xd, dwd, dbd, pwd = x.data, dw.data, db.data, pw.data
+    xn, dwn, dbn, pwn, pbn = x.node, dw.node, db.node, pw.node, pb.node
+
+    def bwd(g):
+        mid = _depthwise_forward(xd, dwd, dbd)
+        gw, gb = _pointwise_param_grads(mid, g, pwd.shape)
+        del mid
+        _accum(pwn, gw)
+        _accum(pbn, gb)
+        gw, gb, gx = _depthwise_backward(xd, dwd, _pointwise_input_grad(pwd, g), xn is not None)
+        _accum(dwn, gw)
+        _accum(dbn, gb)
+        _accum(xn, gx)
+
+    return _make(out.data, (x, dw, db, pw, pb), bwd)
 
 
 # -- normalization, pooling, resampling -----------------------------------------
@@ -625,7 +714,7 @@ def dropout(x: Tensor, rate: float, mode: str, rng: Rng) -> Tensor:
     """
     if mode != "train" or rng is None:
         raise ValueError(f"dropout runs only in train mode with an Rng, got mode {mode!r}")
-    keep = rng.uniform(size=x.shape) >= rate
+    keep = rng.random(x.shape) >= rate
     dtype, xn = x.dtype, x.node
 
     def bwd(g):

@@ -1,18 +1,24 @@
-"""The elementwise add and multiply and the sum that ``sepseg.autograd``
-provided until no layer composed them, kept as test references.
+"""Graph nodes that the package no longer makes, kept as test references.
 
-The tests build reference graphs from them (the primitive compositions
-that the one-node layers replaced) and exercise the graph engine with them.
-A plain number operand becomes a constant Tensor of the other operand's
-dtype, as the ``Tensor`` operators made it. Unlike the package's ops, these
-broadcast: ``b`` may add size-1 axes or drop leading axes relative to ``a``.
+The elementwise add and multiply and the sum are those that
+``sepseg.autograd`` provided until no layer composed them. The tests build
+reference graphs from them (the primitive compositions that the one-node
+layers replaced) and exercise the graph engine with them. A plain number
+operand becomes a constant Tensor of the other operand's dtype, as the
+``Tensor`` operators made it. Unlike the package's ops, these broadcast:
+``b`` may add size-1 axes or drop leading axes relative to ``a``.
+
+``depthwise_conv2d`` is the depthwise node that a separable conv made
+before it became one node, and ``separable_conv2d`` that two-node
+composition. Both run the package's kernels.
+
 Nodes are made through the module attribute ``autograd._make``, so that
 fixtures patching it see them.
 """
 
 import numpy as np
 
-from sepseg import autograd
+from sepseg import autograd, layers
 from sepseg.autograd import ShapeError, Tensor, _accum
 
 
@@ -74,3 +80,23 @@ def tensor_sum(x, axis=None, keepdims=False):
         _accum(x.node, np.broadcast_to(g, x.shape))
 
     return autograd._make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
+
+
+def depthwise_conv2d(x, weight, bias):
+    """The depthwise convolution as one node that keeps its input."""
+    xd, wd = x.data, weight.data
+
+    def bwd(g):
+        gw, gb, gx = layers._depthwise_backward(xd, wd, g, x.node is not None)
+        _accum(weight.node, gw)
+        _accum(bias.node, gb)
+        _accum(x.node, gx)
+
+    return autograd._make(layers._depthwise_forward(xd, wd, bias.data), (x, weight, bias), bwd)
+
+
+def separable_conv2d(x, p):
+    """A depthwise node and a 1x1 conv node, the depthwise output kept
+    between them for the pointwise backward."""
+    mid = depthwise_conv2d(x, p.depthwise_weight, p.depthwise_bias)
+    return layers.conv2d(mid, layers.Conv2dParams(p.pointwise_weight, p.pointwise_bias))

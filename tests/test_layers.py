@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference_ops import add, mul, tensor_sum, unbroadcast
+import reference_ops
+from reference_ops import add, depthwise_conv2d, mul, tensor_sum, unbroadcast
 from sepseg import layers
 from sepseg.autograd import (
     Rng,
@@ -21,7 +22,6 @@ from sepseg.layers import (
     _DEPTHWISE_BLOCK,
     BN_EPS,
     BN_MOMENTUM,
-    _depthwise_conv2d,
     _upsample2x_axis,
     _upsample2x_axis_adjoint,
     BatchNormParams,
@@ -160,8 +160,9 @@ class TestConv2dSame:
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 3, 5, 5))), p)
 
-    # every layer, dropout and the loss included, is one node
-    @pytest.mark.parametrize("variant,bound", [("proposed", 96), ("baseline-unet", 78)])
+    # every layer, dropout and the loss included, is one node; proposed made
+    # 96 while a separable conv was a depthwise node and a 1x1 conv node
+    @pytest.mark.parametrize("variant,bound", [("proposed", 78), ("baseline-unet", 78)])
     def test_train_step_node_count(self, variant, bound, made_nodes):
         from sepseg.metrics import weighted_cross_entropy
         from sepseg.model import ModelSpec, build_model, forward
@@ -250,7 +251,7 @@ def _depthwise_case(shape, k, dtype, transposed=False):
     bias = rng.normal(size=c).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
     xt = Tensor(x, requires_grad=True)
-    out = _depthwise_conv2d(xt, Tensor(weight, requires_grad=True), Tensor(bias))
+    out = depthwise_conv2d(xt, Tensor(weight, requires_grad=True), Tensor(bias))
     backward(project(out, g))
     return out.data, xt.grad, (x, weight, bias, g)
 
@@ -321,7 +322,7 @@ def _assert_equal_to_row_buffer_kernel(x, weight, bias, g, k):
     """Output and input gradient equal the row-buffer kernel's, NaN positions
     and the sign bits of everything else included."""
     runs = [_depthwise_run(conv, x, weight, bias, g, k)
-            for conv in (_depthwise_conv2d, _depthwise_row_buffer_oracle)]
+            for conv in (depthwise_conv2d, _depthwise_row_buffer_oracle)]
     for got, want in zip(*runs):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
@@ -414,7 +415,7 @@ class TestDepthwiseKernel:
         bias = rng.normal(size=4).astype(np.float32)
         with np.errstate(invalid="ignore"):
             _assert_equal_to_row_buffer_kernel(x, weight, bias, g, k)
-            assert np.isnan(_depthwise_run(_depthwise_conv2d, x, weight, bias, g, k)[1]).any()
+            assert np.isnan(_depthwise_run(depthwise_conv2d, x, weight, bias, g, k)[1]).any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
@@ -432,34 +433,36 @@ class TestDepthwiseKernel:
         _assert_equal_to_row_buffer_kernel(x, weight, bias, g, k)
 
     def test_model_equals_row_buffer_kernel(self, monkeypatch):
-        # one train step with the kernel and with the row-buffer oracle: every
-        # array has the same bits except the depthwise weight gradients, whose
-        # sums run in another order and stay within float32 rounding
-        from sepseg import layers as layers_module
+        # one train step with the separable node and with a depthwise node of
+        # the row-buffer oracle under each 1x1 conv: every array has the
+        # same bits except the depthwise weight gradients, whose sums run in
+        # another order and stay within float32 rounding
         from sepseg import model as model_module
         from sepseg.metrics import weighted_cross_entropy
 
         x = Tensor(np.random.default_rng(4).normal(size=(4, 1, 64, 64)).astype(np.float32))
         labels = np.random.default_rng(1).integers(0, 2, (4, 64, 64))
+        calls = {}  # weight tensor id -> (x, g, k, pad) of its depthwise call
 
-        def step(conv):
-            calls = {}  # weight tensor id -> (x, g, k, pad) of its depthwise call
-
-            def recording(xt, weight, bias):
-                out = conv(xt, weight, bias)
-                if out.node is None:  # the infer forward records no node
-                    return out
-                bwd = out._backward
-
-                def recording_bwd(g):
-                    k = weight.shape[2]
-                    calls[id(weight)] = (xt.data, g, k, (k - 1) // 2)
-                    bwd(g)
-
-                out._backward = recording_bwd
+        def recording(xt, weight, bias):
+            out = _depthwise_row_buffer_oracle(xt, weight, bias)
+            if out.node is None:  # the infer forward records no node
                 return out
+            bwd = out._backward
 
-            monkeypatch.setattr(layers_module, "_depthwise_conv2d", recording)
+            def recording_bwd(g):
+                k = weight.shape[2]
+                calls[id(weight)] = (xt.data, g, k, (k - 1) // 2)
+                bwd(g)
+
+            out._backward = recording_bwd
+            return out
+
+        def two_nodes(xt, p):
+            mid = recording(xt, p.depthwise_weight, p.depthwise_bias)
+            return conv2d(mid, Conv2dParams(p.pointwise_weight, p.pointwise_bias))
+
+        def step():
             model = model_module.build_model(model_module.ModelSpec(base_depth=8), Rng(0, 0))
             probs = model_module.forward(model, x, "train", rng=Rng(0, 1))
             loss = weighted_cross_entropy(probs, labels, np.array([1.0, 3.0]))
@@ -471,8 +474,9 @@ class TestDepthwiseKernel:
             arrays.update((f"{name}.grad", t.grad) for name, t in params.items())
             return arrays, {name: calls.get(id(t)) for name, t in params.items()}
 
-        got, calls = step(_depthwise_conv2d)
-        want, _ = step(_depthwise_row_buffer_oracle)
+        got, _ = step()
+        monkeypatch.setattr(model_module, "separable_conv2d", two_nodes)
+        want, by_name = step()
         assert got.keys() == want.keys()
         differ = set()
         for name in got:
@@ -480,10 +484,10 @@ class TestDepthwiseKernel:
                 _assert_bits_equal([got[name]], [want[name]])
             except AssertionError:
                 differ.add(name)
-        dw_weights = {f"{name}.grad" for name in calls if name.endswith(".dw_weight")}
+        dw_weights = {f"{name}.grad" for name in by_name if name.endswith(".dw_weight")}
         assert len(dw_weights) == 18 and differ <= dw_weights
         for name in dw_weights:
-            xd, g, k, pad = calls[name[: -len(".grad")]]
+            xd, g, k, pad = by_name[name[: -len(".grad")]]
             bound = _weight_grad_bound(xd, g, k, pad, np.float32)
             assert np.all(np.abs(got[name].astype(np.float64) - want[name]) <= bound), name
 
@@ -495,7 +499,7 @@ class TestDepthwiseKernel:
         weight = Tensor(rng.normal(size=(shape[1], 1, k, k)).astype(np.float32),
                         requires_grad=True)
         pad = (k - 1) // 2
-        out = _depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(shape[1], np.float32)))
+        out = depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(shape[1], np.float32)))
         backward(project(out, g))
         assert weight.grad.dtype == np.float32
         want = _depthwise_weight_grad_oracle(x.astype(np.float64), g.astype(np.float64), k, pad)
@@ -509,7 +513,7 @@ class TestDepthwiseKernel:
         rng = np.random.default_rng(12)
         x, g = (rng.normal(size=shape).astype(dtype) for _ in range(2))
         weight = Tensor(rng.normal(size=(shape[1], 1, k, k)).astype(dtype), requires_grad=True)
-        out = _depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(shape[1], dtype)))
+        out = depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(shape[1], dtype)))
         backward(project(out, g))
         want = _depthwise_weight_grad_rows_oracle(x, g, k)
         assert weight.grad.dtype == want.dtype == dtype
@@ -523,7 +527,7 @@ class TestDepthwiseKernel:
         x, g = rng.normal(size=shape), rng.normal(size=shape)
         weight = Tensor(rng.normal(size=(7, 1, k, k)), requires_grad=True)
         pad = (k - 1) // 2
-        out = _depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(7)))
+        out = depthwise_conv2d(Tensor(x), weight, Tensor(np.zeros(7)))
         backward(project(out, g))
         assert weight.grad.dtype == np.float64
         want = _depthwise_weight_grad_oracle(x, g, k, pad)
@@ -536,7 +540,7 @@ class TestDepthwiseKernel:
         bias = Tensor(rng.normal(size=3))
 
         def f(weight):
-            return project(_depthwise_conv2d(Tensor(x), weight, bias), proj)
+            return project(depthwise_conv2d(Tensor(x), weight, bias), proj)
 
         assert grad_check(f, rng.normal(size=(3, 1, k, k))) <= 1e-4
 
@@ -549,7 +553,7 @@ class TestDepthwiseKernel:
         x = Tensor(rng.normal(size=(n, c, h, w)).astype(np.float32), requires_grad=x_grad)
         weight = Tensor(rng.normal(size=(c, 1, k, k)).astype(np.float32), requires_grad=True)
         bias = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
-        out = _depthwise_conv2d(x, weight, bias)
+        out = depthwise_conv2d(x, weight, bias)
         g = rng.normal(size=out.shape).astype(np.float32)
         tracemalloc.start()
         try:
@@ -580,9 +584,9 @@ class TestDepthwiseKernel:
         weight = rng.normal(size=(c, 1, k, k)).astype(np.float32)
         bias = rng.normal(size=c).astype(np.float32)
         with np.errstate(invalid="ignore"):
-            batch = _depthwise_run(_depthwise_conv2d, x, weight, bias, g, k)
+            batch = _depthwise_run(depthwise_conv2d, x, weight, bias, g, k)
             for b in range(n):
-                one = _depthwise_run(_depthwise_conv2d, x[b : b + 1], weight, bias,
+                one = _depthwise_run(depthwise_conv2d, x[b : b + 1], weight, bias,
                                      g[b : b + 1], k)
                 for got, want in zip(batch, one):
                     np.testing.assert_array_equal(got[b], want[0])
@@ -607,12 +611,12 @@ class TestDepthwiseKernel:
         tracemalloc.start()
         try:
             with no_grad():
-                out = _depthwise_conv2d(x, weight, bias)
+                out = depthwise_conv2d(x, weight, bias)
             forward_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert forward_peak <= out.data.nbytes + 4 * block + slack
-        out = _depthwise_conv2d(x, weight, bias)
+        out = depthwise_conv2d(x, weight, bias)
         g = rng.normal(size=shape).astype(np.float32)
         tracemalloc.start()
         try:
@@ -630,12 +634,12 @@ class TestDepthwiseKernel:
         size = np.getbufsize()
         x = Tensor(np.ones((2, 4, 8, 8), dtype=np.float32), requires_grad=True)
         weight = Tensor(np.ones((4, 1, 3, 3), dtype=np.float32), requires_grad=True)
-        out = _depthwise_conv2d(x, weight, Tensor(np.zeros(4, dtype=np.float32)))
+        out = depthwise_conv2d(x, weight, Tensor(np.zeros(4, dtype=np.float32)))
         assert np.getbufsize() == size
         out._backward(np.ones(out.shape, dtype=np.float32))
         assert np.getbufsize() == size
         with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
-            _depthwise_conv2d(Tensor(np.full((2, 4, 8, 8), np.inf, dtype=np.float32)),
+            depthwise_conv2d(Tensor(np.full((2, 4, 8, 8), np.inf, dtype=np.float32)),
                               Tensor(np.zeros((4, 1, 3, 3), dtype=np.float32)),
                               Tensor(np.zeros(4, dtype=np.float32)))
         assert np.getbufsize() == size
@@ -649,7 +653,7 @@ class TestDepthwiseKernel:
         tracemalloc.start()
         try:
             with no_grad():
-                out = _depthwise_conv2d(x, weight, bias)
+                out = depthwise_conv2d(x, weight, bias)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -681,6 +685,24 @@ class TestConv1x1:
         assert np.all(np.abs(out.data - ref[0]) <= bound)
         for got, want in zip((x.grad, w.grad, b.grad), ref[1:]):
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_input_channel_has_the_bits_of_matmul_plus_bias(self, dtype):
+        # the broadcast product differs from matmul's K = 1 product only in
+        # the sign of a zero, which the bias add turns to +0.0; zero inputs
+        # under negative weights make -0.0 products
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(3, 1, 9, 7)).astype(dtype)
+        x[:, :, :3] = 0.0
+        x[:, :, 3:5] = -0.0
+        w = rng.normal(size=(6, 1, 1, 1)).astype(dtype)
+        w[:3] = -np.abs(w[:3])
+        b = rng.normal(size=6).astype(dtype)
+        got = conv2d(Tensor(x), Conv2dParams(Tensor(w), Tensor(b))).data
+        want = np.matmul(w.reshape(6, 1), x.reshape(3, 1, 63)) + b[:, None]
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want.reshape(3, 6, 9, 7))
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want.reshape(3, 6, 9, 7)))
 
     def test_one_graph_node(self):
         x = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32), requires_grad=True)
@@ -717,6 +739,65 @@ class TestSeparableConv2d:
         b_eq = pb + pw[:, :, 0, 0] @ db
         expected = _conv_oracle(x, w_eq, b_eq, 1)
         assert np.abs(got - expected).max() <= 1e-10
+
+    @staticmethod
+    def _params(c_in, c_out, k, dtype, seed):
+        rng = np.random.default_rng(seed)
+        return SeparableConv2dParams(*(
+            Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+            for shape in ((c_in, 1, k, k), (c_in,), (c_out, c_in, 1, 1), (c_out,))))
+
+    # (2, 5, 130, 130) runs the depthwise kernel on blocks of 3 and 2
+    # channels, (3, 4, 16, 16) on runs of images; c_in = 1 takes the
+    # broadcast pointwise product
+    @pytest.mark.parametrize("shape,c_out,k", [((2, 5, 130, 130), 3, 3), ((3, 4, 16, 16), 6, 5),
+                                               ((2, 1, 12, 10), 4, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_gradients_equal_two_node_composition(self, shape, c_out, k, dtype, x_grad):
+        # the node recomputes the depthwise output that the composition kept,
+        # with the same kernel, so every output and gradient keeps its bits
+        rng = np.random.default_rng(16)
+        x_np = rng.normal(size=shape).astype(dtype)
+        g = rng.normal(size=(shape[0], c_out) + shape[2:]).astype(dtype)
+        runs = []
+        for conv in (separable_conv2d, reference_ops.separable_conv2d):
+            x = Tensor(x_np, requires_grad=x_grad)
+            p = self._params(shape[1], c_out, k, dtype, seed=17)
+            out = conv(x, p)
+            backward(project(out, g))
+            runs.append([out.data, x.grad, p.depthwise_weight.grad, p.depthwise_bias.grad,
+                         p.pointwise_weight.grad, p.pointwise_bias.grad])
+        assert (runs[0][1] is None) == (not x_grad)
+        assert runs[0][0].dtype == dtype
+        _assert_bits_equal(*runs)
+
+    def test_one_graph_node(self):
+        x = Tensor(np.ones((1, 2, 6, 6), dtype=np.float32), requires_grad=True)
+        p = init_separable_conv2d(2, 4, 3, Rng(0), np.float32)
+        out = separable_conv2d(x, p)
+        assert out._parents == (x.node, p.depthwise_weight.node, p.depthwise_bias.node,
+                                p.pointwise_weight.node, p.pointwise_bias.node)
+
+    def test_train_forward_keeps_the_input_not_the_depthwise_output(self):
+        # after a train forward the live bytes are the output plus x, which
+        # the caller allocated before tracing; the two-node composition also
+        # held the depthwise output, as large as x
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(4, 8, 64, 64)).astype(np.float32), requires_grad=True)
+        p = init_separable_conv2d(8, 6, 3, Rng(0), np.float32)
+        held = {}
+        for conv in (separable_conv2d, reference_ops.separable_conv2d):
+            tracemalloc.start()
+            try:
+                out = conv(x, p)
+                held[conv] = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+            del out
+        slack = 64 << 10  # the node, its closure and small arrays
+        assert held[separable_conv2d] <= slack
+        assert held[reference_ops.separable_conv2d] >= x.data.nbytes
 
     def test_param_count_closed_form(self):
         p = init_separable_conv2d(64, 128, 3, Rng(0), np.float32)
