@@ -58,60 +58,33 @@ class TrainConfig:
 @dataclass
 class AdamState:
     lr: float
-    # state, not settings: the step count and the moment estimates by name,
-    # views of two flat arrays that hold every parameter's moments in order
+    # state, not settings: the step count and the moment estimates by name
     t: int = field(default=0, init=False)
     m: dict = field(default_factory=dict, init=False)
     v: dict = field(default_factory=dict, init=False)
-    flat: tuple = field(default=None, init=False, repr=False)
 
 
 def adam_step(params, state: AdamState):
     """One Adam update, in place, of named parameters and their moments from
-    each one's ``grad``, which every training backward sets; resets each ``grad``.
-
-    The gradients are joined into one flat array and the moments live in
-    two, so the update is a few passes over all parameters at once rather
-    than a dozen small ones per parameter. Each pass writes into the joined
-    gradient or one scratch array, in the operation order of
-    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so every element gets
-    the bits of that expression and the step needs two parameter-sized
-    arrays above the moments. The parameters, which share one dtype, must
-    be those of the first step.
-    """
+    each one's ``grad``, which every training backward sets; resets each ``grad``."""
     state.t += 1
     t = state.t
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    g = np.concatenate([p.grad.reshape(-1) for p in params.values()])
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite gradient for parameter {!r} at step {}".format(
-            next(n for n, p in params.items() if not np.all(np.isfinite(p.grad))), t))
-    for p in params.values():
+    for name, p in params.items():
+        g = p.grad
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter {name!r} at step {t}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.zero_grad()
-    if state.flat is None:
-        state.flat = m, v = np.zeros_like(g), np.zeros_like(g)
-        offsets = np.cumsum([0] + [p.size for p in params.values()])
-        for (name, p), lo, hi in zip(params.items(), offsets[:-1], offsets[1:]):
-            state.m[name], state.v[name] = m[lo:hi].reshape(p.shape), v[lo:hi].reshape(p.shape)
-    m, v = state.flat
-    step = np.multiply(g, 1 - ADAM_BETA1)
-    m *= ADAM_BETA1
-    m += step
-    np.multiply(g, 1 - ADAM_BETA2, out=step)
-    step *= g
-    v *= ADAM_BETA2
-    v += step
-    np.divide(m, bc1, out=step)
-    step *= state.lr
-    np.divide(v, bc2, out=g)
-    np.sqrt(g, out=g)
-    g += ADAM_EPS
-    step /= g
-    offset = 0
-    for p in params.values():
-        p.data -= step[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
 
 
 def clip_gradients(params):

@@ -106,34 +106,6 @@ class TestAdam:
             np.testing.assert_array_equal(state.m["theta"], m)
             np.testing.assert_array_equal(state.v["theta"], v)
 
-    def test_flat_step_equals_per_parameter_step(self):
-        # the per-parameter update that adam_step ran before its moments
-        # became two flat arrays, over parameters of several shapes
-        rng = np.random.default_rng(2)
-        shapes = {"w": (4, 3, 3, 3), "b": (4,), "s": (1,), "pw": (5, 4, 1, 1)}
-        params = {n: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
-                  for n, s in shapes.items()}
-        data = {n: p.data.copy() for n, p in params.items()}
-        m = {n: np.zeros_like(a) for n, a in data.items()}
-        v = {n: np.zeros_like(a) for n, a in data.items()}
-        state = AdamState(lr=0.01)
-        for t in range(1, 4):
-            grads = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
-            for n, p in params.items():
-                p.grad = grads[n].copy()
-            adam_step(params, state)
-            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
-            for n, g in grads.items():
-                m[n] *= 0.9
-                m[n] += (1 - 0.9) * g
-                v[n] *= 0.999
-                v[n] += (1 - 0.999) * g * g
-                data[n] -= 0.01 * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + 1e-8)
-                np.testing.assert_array_equal(params[n].data, data[n])
-                np.testing.assert_array_equal(state.m[n], m[n])
-                np.testing.assert_array_equal(state.v[n], v[n])
-                assert params[n].grad is None
-
     def test_grad_clip_scales_to_max_norm(self):
         params = _scalar_param(0.0, 30.0)
         norm = clip_gradients(params)
