@@ -180,8 +180,7 @@ def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         gw, gb = _pointwise_param_grads(xd, g, wd.shape)
         _accum(wn, gw)
         _accum(bn, gb)
-        if xn is not None:
-            _accum(xn, _pointwise_input_grad(wd, g))
+        _accum(xn, _pointwise_input_grad(wd, g))
 
     return _make(_pointwise(xd, wd, bias.data), (x, weight, bias), bwd)
 
@@ -329,9 +328,8 @@ def _conv2d_same(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             gw += gb[:, :m].reshape(c_out, m * wp) @ cols.T
         _accum(wn, gw.reshape(wd.shape))
         _accum(bn, g.sum(axis=(0, 2, 3)))
-        if xn is not None:
-            flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            _accum(xn, _correlate_same(g, flipped, np.zeros(c, dtype=g.dtype)))
+        flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        _accum(xn, _correlate_same(g, flipped, np.zeros(c, dtype=g.dtype)))
 
     return _make(out_data, (x, weight, bias), bwd)
 
@@ -423,10 +421,9 @@ def _depthwise_forward(x, weight, bias):
     return out.astype(x.dtype, copy=False)
 
 
-def _depthwise_backward(x, weight, g, x_grad):
-    """Weight, bias and (when ``x_grad``) input gradients of
-    ``_depthwise_forward`` at input ``x`` for upstream ``g``; the input
-    gradient is ``None`` otherwise.
+def _depthwise_backward(x, weight, g):
+    """Weight, bias and input gradients of ``_depthwise_forward`` at input
+    ``x`` for upstream ``g``.
 
     The input gradient is a gather: for weight (i, j) it reads g's tap
     (k - 1 - i, k - 1 - j), so input (y, x) reads g at padded position
@@ -444,10 +441,8 @@ def _depthwise_backward(x, weight, g, x_grad):
     gf, gf_in = _padded_flat(cb, nb, h, w, k, g.dtype)
     xtaps = sliding_window_view(xb, h * wp, axis=1)
     gwt = np.zeros((c, k, k), dtype=np.result_type(x, g))
-    gx = None
-    if x_grad:
-        gx, acc = np.empty((n, c, h, w), x.dtype), np.empty(cb * nb * hp * wp, x.dtype)
-        prod = np.empty(acc.size, dtype=np.result_type(g, dw))
+    gx, acc = np.empty((n, c, h, w), x.dtype), np.empty(cb * nb * hp * wp, x.dtype)
+    prod = np.empty(acc.size, dtype=np.result_type(g, dw))
     for bs, cs, r, m, span in blocks:
         xb_in[:m, :r] = x[bs, cs].transpose(1, 0, 2, 3)
         gf_in[:m, :r] = g[bs, cs].transpose(1, 0, 2, 3)
@@ -455,18 +450,17 @@ def _depthwise_backward(x, weight, g, x_grad):
             gm = gf[:m, o + pad * wp + pad : o + pad * wp + pad + h * wp]
             for i in range(k):
                 gwt[cs, i] += np.einsum("ckl,cl->ck", xtaps[:m, o + i * wp : o + i * wp + k], gm)
-        if x_grad:
-            old_buffer = np.setbufsize(_row_buffer(h, wp))
-            try:
-                a, p = (buf[: m * nb * hp * wp].reshape(m, -1)[:, :span] for buf in (acc, prod))
-                a.fill(0)
-                for i, j in np.ndindex(k, k):
-                    s = (k - 1 - i) * wp + k - 1 - j
-                    a += np.multiply(gf[:m, s : s + span], dw[cs, i, j, None], out=p)
-                planes = acc[: m * nb * hp * wp].reshape(m, nb, hp, wp)[:, :r, :h, :w]
-                gx[bs, cs] = planes.transpose(1, 0, 2, 3)
-            finally:
-                np.setbufsize(old_buffer)
+        old_buffer = np.setbufsize(_row_buffer(h, wp))
+        try:
+            a, p = (buf[: m * nb * hp * wp].reshape(m, -1)[:, :span] for buf in (acc, prod))
+            a.fill(0)
+            for i, j in np.ndindex(k, k):
+                s = (k - 1 - i) * wp + k - 1 - j
+                a += np.multiply(gf[:m, s : s + span], dw[cs, i, j, None], out=p)
+            planes = acc[: m * nb * hp * wp].reshape(m, nb, hp, wp)[:, :r, :h, :w]
+            gx[bs, cs] = planes.transpose(1, 0, 2, 3)
+        finally:
+            np.setbufsize(old_buffer)
     return gwt.reshape(c, 1, k, k), g.sum(axis=(0, 2, 3)), gx
 
 
@@ -496,7 +490,7 @@ def separable_conv2d(x: Tensor, p: SeparableConv2dParams) -> Tensor:
         del mid
         _accum(pwn, gw)
         _accum(pbn, gb)
-        gw, gb, gx = _depthwise_backward(xd, dwd, _pointwise_input_grad(pwd, g), xn is not None)
+        gw, gb, gx = _depthwise_backward(xd, dwd, _pointwise_input_grad(pwd, g))
         _accum(dwn, gw)
         _accum(dbn, gb)
         _accum(xn, gx)

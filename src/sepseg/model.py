@@ -34,8 +34,18 @@ from .layers import (
 from .metrics import probs_to_mask
 
 VARIANTS = ("proposed", "baseline-unet")
-DEPTH_CAP = 1024  # widest block: the bottleneck's 16 * base_depth channels
+DEPTH_CAP = 1024  # widest block: the bottleneck's
 IN_CHANNELS = 1  # one windowed CT slice per input
+
+# The stage table, in forward order. Encoder i is base_depth * 2**i wide and
+# its 2x max pool halves the map for the next stage; the bottleneck doubles
+# the last encoder's width. Each decoder doubles the map below it as
+# ``ModelSpec.upsample_plan`` says, joins the skip of the encoder that
+# mirrors it, and returns to that encoder's width.
+ENCODERS = ("enc1", "enc2", "enc3", "enc4")
+BOTTLENECK = "bottleneck"
+DECODERS = ("dec1", "dec2", "dec3", "dec4")
+SCALE = 2 ** len(ENCODERS)  # the bottleneck's map is 1/SCALE of the input's
 
 
 @dataclass
@@ -49,17 +59,16 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if not 1 <= self.base_depth * 16 <= DEPTH_CAP:
-            raise ValueError(f"base_depth * 16 must be in [16, {DEPTH_CAP}], "
+        if not 1 <= self.base_depth * SCALE <= DEPTH_CAP:
+            raise ValueError(f"base_depth * {SCALE} must be in [{SCALE}, {DEPTH_CAP}], "
                              f"got {self.base_depth}")
-        if self.variant == "proposed" and (2 * self.base_depth) % 4:
-            raise ValueError("proposed variant needs 2*base_depth divisible by 4 for pixel shuffle")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+        self.block_specs()  # raises for a width that pixel shuffle cannot split
 
     @property
     def lesion_class(self):
@@ -69,31 +78,26 @@ class ModelSpec:
 
     @property
     def upsample_plan(self):
-        if self.variant == "proposed":
-            return ("bilinear", "bilinear", "bilinear", "subpixel")
-        return ("bilinear", "bilinear", "bilinear", "bilinear")
+        """How each of ``DECODERS`` doubles the map below it: the proposed
+        network's last one is sub-pixel (pixel shuffle), the paper's "sub-pixel
+        convolution at the last layer"; every other one is bilinear."""
+        last = "subpixel" if self.variant == "proposed" else "bilinear"
+        return ("bilinear",) * (len(DECODERS) - 1) + (last,)
 
     def block_specs(self):
-        """Ordered (stage name, block spec) pairs for the nine blocks."""
-        b = self.base_depth
+        """Ordered (stage name, block spec) pairs of the stage table."""
+        widths = [self.base_depth * 2**i for i in range(len(ENCODERS) + 1)]
+        stages = list(zip(ENCODERS + (BOTTLENECK,), [IN_CHANNELS] + widths, widths))
+        # below: the bottleneck's width, then each decoder's; skip: the mirror encoder's
+        for stage, up, below, skip in zip(DECODERS, self.upsample_plan, widths[:0:-1], widths[-2::-1]):
+            if up == "subpixel":  # pixel shuffle trades 4 channels for a 2x2 block of pixels
+                if below % 4:
+                    raise ValueError(f"{stage}'s pixel shuffle needs a width divisible by 4, "
+                                     f"got {below} (base_depth {self.base_depth})")
+                below //= 4
+            stages.append((stage, below + skip, skip))
         sep = self.variant == "proposed"
-        k = self.kernel
-        stages = [
-            ("enc1", IN_CHANNELS, b),
-            ("enc2", b, 2 * b),
-            ("enc3", 2 * b, 4 * b),
-            ("enc4", 4 * b, 8 * b),
-            ("bottleneck", 8 * b, 16 * b),
-            ("dec1", 16 * b + 8 * b, 8 * b),
-            ("dec2", 8 * b + 4 * b, 4 * b),
-            ("dec3", 4 * b + 2 * b, 2 * b),
-        ]
-        if self.variant == "proposed":
-            # pixel shuffle turns 2b channels into 2b/4 at double resolution
-            stages.append(("dec4", 2 * b // 4 + b, b))
-        else:
-            stages.append(("dec4", 2 * b + b, b))
-        return [(name, ResNetBlockSpec(ci, co, k, sep)) for name, ci, co in stages]
+        return [(name, ResNetBlockSpec(ci, co, self.kernel, sep)) for name, ci, co in stages]
 
 
 @dataclass
@@ -163,11 +167,12 @@ def _init_block(spec: ResNetBlockSpec, rng: Rng, dtype) -> ResNetBlockParams:
     return ResNetBlockParams(init_batch_norm(ci, dtype), conv1, conv2, proj)
 
 
-def build_model(spec: ModelSpec, rng: Rng, dtype=np.float32) -> Model:
+def build_model(spec: ModelSpec, rng: Rng) -> Model:
+    """A float32 model of ``spec``, its parameters drawn from ``rng``."""
     blocks = OrderedDict()
     for stage, bspec in spec.block_specs():
-        blocks[stage] = _init_block(bspec, rng, dtype)
-    head = init_conv2d(spec.base_depth, spec.num_classes, 1, rng, dtype=dtype)
+        blocks[stage] = _init_block(bspec, rng, np.float32)
+    head = init_conv2d(spec.base_depth, spec.num_classes, 1, rng, dtype=np.float32)
     return Model(spec, blocks, head)
 
 
@@ -193,7 +198,7 @@ def resnet_block_forward(params: ResNetBlockParams, x: Tensor, mode: str, rng: R
 def forward(model: Model, x: Tensor, mode: str, rng: Rng = None):
     """Full forward pass to per-pixel class probabilities.
 
-    Input must be (N, IN_CHANNELS, H, W) with H and W divisible by 16.
+    Input must be (N, IN_CHANNELS, H, W) with H and W divisible by SCALE.
     Infer mode records no autograd graph; train mode records one for
     ``backward``.
     """
@@ -201,10 +206,10 @@ def forward(model: Model, x: Tensor, mode: str, rng: Rng = None):
     n, c, h, w = x.shape
     if c != IN_CHANNELS:
         raise ShapeError(f"model expects {IN_CHANNELS} input channels, got {c}")
-    if h % 16 or w % 16:
+    if h % SCALE or w % SCALE:
         raise ShapeError(
-            f"input spatial size {h}x{w} must be divisible by 16 "
-            "(four 2x pooling stages)"
+            f"input spatial size {h}x{w} must be divisible by {SCALE} "
+            f"({len(ENCODERS)} 2x pooling stages)"
         )
 
     def run(stage, t):
@@ -214,21 +219,13 @@ def forward(model: Model, x: Tensor, mode: str, rng: Rng = None):
     with no_grad() if mode == "infer" else contextlib.nullcontext():
         skips = []
         cur = x
-        for stage in ("enc1", "enc2", "enc3", "enc4"):
-            e = run(stage, cur)
-            skips.append(e)
-            cur = max_pool_2x2(e)
-        cur = run("bottleneck", cur)
-
-        plan = spec.upsample_plan
-        for i, stage in enumerate(("dec1", "dec2", "dec3", "dec4")):
-            if plan[i] == "bilinear":
-                cur = bilinear_upsample_2x(cur)
-            else:
-                cur = pixel_shuffle(cur)
-            cur = concat([cur, skips.pop()])
-            cur = run(stage, cur)
-
+        for stage in ENCODERS:
+            skips.append(run(stage, cur))
+            cur = max_pool_2x2(skips[-1])
+        cur = run(BOTTLENECK, cur)
+        for stage, up in zip(DECODERS, spec.upsample_plan):
+            cur = bilinear_upsample_2x(cur) if up == "bilinear" else pixel_shuffle(cur)
+            cur = run(stage, concat([cur, skips.pop()]))
         return softmax_channels(conv2d(cur, model.head))
 
 

@@ -87,7 +87,7 @@ def depthwise_conv2d(x, weight, bias):
     xd, wd = x.data, weight.data
 
     def bwd(g):
-        gw, gb, gx = layers._depthwise_backward(xd, wd, g, x.node is not None)
+        gw, gb, gx = layers._depthwise_backward(xd, wd, g)
         _accum(weight.node, gw)
         _accum(bias.node, gb)
         _accum(x.node, gx)

@@ -10,6 +10,7 @@ rename or an inlined call fails here instead of blinding the trace.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -21,7 +22,8 @@ import sepseg.layers as layers
 import sepseg.model as model
 from sepseg.autograd import Rng, Tensor
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 # patched by name in Recorder.install, outside SIMPLE_TARGETS
 DIRECT_TARGETS = (
@@ -127,3 +129,26 @@ def test_backward_takes_the_root_positionally():
 
 def test_forward_takes_mode_third():
     assert _positional_names(model.forward)[:3] == ["model", "x", "mode"]
+
+
+# (mult-adds, bytes) of one forward over a size x size slice, from the
+# benchmark's cost model: (variant, base depth) -> {size: counts}
+MODEL_COUNTS = {
+    ("proposed", 8): {64: (11800576, 8031288), 256: (188809216, 122985528)},
+    ("baseline-unet", 8): {64: (58715136, 8488400), 256: (939442176, 104642000)},
+    ("proposed", 64): {64: (593240064, 81123384), 256: (9491841024, 980113464)},
+    ("baseline-unet", 64): {64: (3713986560, 182652432), 256: (59423784960, 934678032)},
+}
+
+
+@pytest.mark.parametrize("variant,base_depth", sorted(MODEL_COUNTS))
+def test_cost_model_counts_the_model_spec(variant, base_depth):
+    # every benchmark run, untraced too, prints these counts from the spec's
+    # block_specs() and upsample_plan; a refactor that broke either would
+    # fail every workload
+    found = importlib.util.spec_from_file_location("costmodel", PERFBENCH / "costmodel.py")
+    costmodel = importlib.util.module_from_spec(found)
+    found.loader.exec_module(costmodel)
+    got = {size: costmodel.model_counts(model.ModelSpec(variant=variant, base_depth=base_depth), size)
+           for size in (64, 256)}
+    assert got == MODEL_COUNTS[variant, base_depth]

@@ -544,13 +544,12 @@ class TestDepthwiseKernel:
 
         assert grad_check(f, rng.normal(size=(3, 1, k, k))) <= 1e-4
 
-    @pytest.mark.parametrize("x_grad", [False, True])
-    def test_backward_footprint_is_block_buffers(self, x_grad):
+    def test_backward_footprint_is_block_buffers(self):
         # padding the whole input for the weight gradient, as the einsum over
         # sliding windows did, would add 2.2 MB to the peak
         n, c, h, w, k = 4, 8, 128, 128, 3
         rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(n, c, h, w)).astype(np.float32), requires_grad=x_grad)
+        x = Tensor(rng.normal(size=(n, c, h, w)).astype(np.float32), requires_grad=True)
         weight = Tensor(rng.normal(size=(c, 1, k, k)).astype(np.float32), requires_grad=True)
         bias = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
         out = depthwise_conv2d(x, weight, bias)
@@ -562,11 +561,11 @@ class TestDepthwiseKernel:
         finally:
             tracemalloc.stop()
         # x and g in the padded layout, (h + k - 1) * (w + k - 1) + k - 1
-        # positions for each of the 3 channels that fit in a block, and with
+        # positions for each of the 3 channels that fit in a block, and for
         # x's gradient an accumulator and a product buffer of h * (w + k - 1)
         block = 3 * ((h + k - 1) * (w + k - 1) + k - 1) * 4
-        gx = x.data.nbytes if x_grad else 0  # the gradient, which _accum adopts without a copy
-        assert peak <= gx + (4 if x_grad else 2) * block + (64 << 10)
+        # the input gradient, which _accum adopts without a copy
+        assert peak <= x.data.nbytes + 4 * block + (64 << 10)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("side,c", [(4, 128), (8, 64), (32, 16)])

@@ -352,7 +352,12 @@ class TestDtypeContract:
         assert forward(small_model(variant), _batch(2, 32), "infer").dtype == np.float32
 
     def test_float64_stays_float64(self, variant, made_nodes, handed_dtypes):
-        model = build_model(ModelSpec(variant=variant, base_depth=8), Rng(0, 0), np.float64)
+        model = small_model(variant)
+        for p in model.named_parameters().values():
+            p.data = p.data.astype(np.float64)
+        for blk in model.blocks.values():
+            blk.bn.running_mean = blk.bn.running_mean.astype(np.float64)
+            blk.bn.running_var = blk.bn.running_var.astype(np.float64)
         x = Tensor(_batch(2, 32).data.astype(np.float64))
         probs, dtypes = _train_step(model, x, made_nodes)
         assert dtypes == {np.dtype(np.float64)} and probs.dtype == np.float64

@@ -135,7 +135,7 @@ class TestElasticDeform:
         field = gaussian_filter(noise, 1000.0) * ELASTIC_ALPHA
         assert np.abs(field - field.mean()).max() < 0.01 * ELASTIC_ALPHA
 
-    @pytest.mark.parametrize("sigma", [0.5, 1, 4, 0])
+    @pytest.mark.parametrize("sigma", [0.5, 1, 4])
     @pytest.mark.parametrize(
         "shape",
         [(64, 64), (32, 32), (16, 16), (256, 256), (512, 512), (48, 80), (17, 5), (3, 40), (1, 1)],
