@@ -225,7 +225,8 @@ def forward(model: Model, x: Tensor, mode: str, rng: Rng = None):
         cur = run(BOTTLENECK, cur)
         for stage, up in zip(DECODERS, spec.upsample_plan):
             cur = bilinear_upsample_2x(cur) if up == "bilinear" else pixel_shuffle(cur)
-            cur = run(stage, concat([cur, skips.pop()]))
+            cur = concat([cur, skips.pop()])  # frees the upsampled map before the block runs
+            cur = run(stage, cur)
         return softmax_channels(conv2d(cur, model.head))
 
 
